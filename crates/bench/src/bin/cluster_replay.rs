@@ -32,11 +32,10 @@
 //! the consistent hash stopped spreading the hot links.
 
 use faultline_bench::{
-    analyze_with, config_with_threads, labeled_report_json, paper_event_workload, paper_params,
-    write_bench_json,
+    analyze_with, labeled_report_json, paper_event_workload, paper_params, write_bench_json,
 };
 use faultline_core::cluster::{
-    run_cluster, run_cluster_subprocess, ClusterConfig, ClusterResult, SubprocessOptions,
+    run_cluster, ClusterConfig, ClusterResult, SubprocessOptions, Workers,
 };
 use faultline_core::transport::{locate_worker_bin, ScenarioSpec};
 use faultline_core::{scenario_event_stream, AnalysisConfig, PipelineReport, StreamEvent};
@@ -51,7 +50,7 @@ fn main() {
     let run_subprocess = transport != "inproc";
     let (data, events) = paper_event_workload();
 
-    let batch = analyze_with(&data, config_with_threads(0));
+    let batch = analyze_with(&data, AnalysisConfig::default());
     let batch_json = serde_json::to_string(&batch.output).expect("serialize batch output");
     println!("batch reference: {:.3} ms", batch.report.total_millis());
 
@@ -80,12 +79,12 @@ fn main() {
                 for shards in [2u32, 4, 8] {
                     let label = format!("paper_subprocess_shards_{shards}");
                     let cfg = ClusterConfig {
-                        shards,
-                        analysis: AnalysisConfig::default(),
                         chunk: 4096,
+                        workers: Workers::Subprocess(opts.clone()),
+                        ..ClusterConfig::new(shards)
                     };
-                    let result = run_cluster_subprocess(&data, &events, &cfg, &opts)
-                        .expect("valid subprocess cluster run");
+                    let result =
+                        run_cluster(&data, &events, &cfg).expect("valid subprocess cluster run");
                     let merged =
                         serde_json::to_string(&result.output).expect("serialize merged output");
                     assert_eq!(
@@ -229,9 +228,8 @@ fn cluster_run(
     expected: Option<&str>,
 ) -> (String, serde_json::Value, f64) {
     let cfg = ClusterConfig {
-        shards,
-        analysis: AnalysisConfig::default(),
         chunk: 4096,
+        ..ClusterConfig::new(shards)
     };
     let result = run_cluster(data, events, &cfg).expect("valid cluster run");
     if let Some(expected) = expected {

@@ -1,8 +1,7 @@
 //! Per-stage pipeline instrumentation: runs the canonical paper-scale
-//! analysis once serially (`threads = 1`) and once with automatic
-//! fan-out, prints both [`faultline_core::PipelineReport`]s, then runs
-//! the **streaming ingest scaling sweep** (chunked non-durable replay at
-//! threads = 1, 2, 4, 8, 16) and writes everything — including the
+//! analysis once, prints its [`faultline_core::PipelineReport`], then
+//! times **repeated streaming ingest replays** (chunked non-durable
+//! replay, five times) and writes everything — including the
 //! `headline.ingest_events_per_sec` number the regression gate watches —
 //! to `results/BENCH_pipeline.json`.
 //!
@@ -11,8 +10,9 @@
 //! cargo run --release --bin pipeline_report -- --sweep # + scale sweep
 //! ```
 //!
-//! Every measured configuration must produce byte-identical tables — the
-//! binary asserts it — so the report differences are timing only.
+//! Every replay must produce output byte-identical to the batch
+//! pipeline — the binary asserts it — so the replays differ in timing
+//! only.
 //!
 //! `scripts/check_bench_regression.sh` compares a freshly written
 //! `BENCH_pipeline.json` against the committed
@@ -20,105 +20,63 @@
 //! throughput drops more than 10%.
 
 use faultline_bench::{analyze_with, labeled_report_json, paper_scenario, write_bench_json};
-use faultline_core::{scenario_event_stream, AnalysisConfig, ParallelismConfig, StreamAnalysis};
+use faultline_core::{scenario_event_stream, AnalysisConfig, StreamAnalysis};
 use serde_json::json;
 
-/// Thread counts of the ingest scaling curve.
-const SWEEP_THREADS: [usize; 5] = [1, 2, 4, 8, 16];
-/// Micro-batch size of the sweep replays: the same chunking the
-/// streaming benchmark uses for its headline non-durable number.
-const SWEEP_CHUNK: usize = 4096;
-
-fn config_with(par: ParallelismConfig) -> AnalysisConfig {
-    AnalysisConfig {
-        parallelism: par,
-        ..AnalysisConfig::default()
-    }
-}
-
-fn threads_config(threads: usize) -> AnalysisConfig {
-    config_with(ParallelismConfig {
-        threads,
-        ..ParallelismConfig::default()
-    })
-}
+/// Timed ingest replays; the headline is the best of them.
+const REPLAYS: usize = 5;
+/// Micro-batch size of the replays: the same chunking the streaming
+/// benchmark uses for its headline non-durable number.
+const REPLAY_CHUNK: usize = 4096;
 
 fn main() {
     let sweep = std::env::args().any(|a| a == "--sweep");
     let data = paper_scenario();
     let mut runs: Vec<serde_json::Value> = Vec::new();
 
-    let mut table4_serial = String::new();
-    let mut batch_output_json = String::new();
-    for (label, par) in [
-        ("serial", ParallelismConfig::SERIAL),
-        ("parallel", ParallelismConfig::default()),
-    ] {
-        println!("== {label} (threads = {}) ==", par.effective_threads());
-        let a = analyze_with(&data, config_with(par));
-        println!("{}", a.report);
-        let table4 = format!("{}", a.table4());
-        if label == "serial" {
-            table4_serial = table4;
-            batch_output_json = serde_json::to_string(&a.output).expect("serialize batch output");
-        } else {
-            assert_eq!(
-                table4, table4_serial,
-                "thread count changed the analysis results"
-            );
-            println!("serial and parallel table 4 are identical ✓");
-        }
-        runs.push(labeled_report_json(label, &a.report));
-    }
+    println!("== batch ==");
+    let a = analyze_with(&data, AnalysisConfig::default());
+    println!("{}", a.report);
+    let batch_output_json = serde_json::to_string(&a.output).expect("serialize batch output");
+    runs.push(labeled_report_json("batch", &a.report));
 
-    // Streaming ingest scaling curve: chunked non-durable replays at
-    // fixed thread counts, each checked byte-identical against batch
-    // before its timing counts.
+    // Repeated chunked non-durable replays, each checked byte-identical
+    // against batch before its timing counts.
     let events = scenario_event_stream(&data);
-    let mut thread_curve: Vec<serde_json::Value> = Vec::new();
-    let mut serial_eps = 0.0f64;
+    let mut replays: Vec<serde_json::Value> = Vec::new();
     let mut best_eps = 0.0f64;
-    println!("== ingest scaling sweep (chunk = {SWEEP_CHUNK}) ==");
-    for threads in SWEEP_THREADS {
-        let mut stream = StreamAnalysis::new(&data, threads_config(threads));
-        for c in events.chunks(SWEEP_CHUNK) {
+    println!("== ingest replays (chunk = {REPLAY_CHUNK}) ==");
+    for replay in 1..=REPLAYS {
+        let mut stream = StreamAnalysis::new(&data, AnalysisConfig::default());
+        for c in events.chunks(REPLAY_CHUNK) {
             stream.ingest_batch(c);
         }
         let result = stream.flush();
         let replay_json = serde_json::to_string(&result.output).expect("serialize stream output");
         assert_eq!(
             batch_output_json, replay_json,
-            "threads={threads} ingest replay diverged from the batch pipeline"
+            "ingest replay {replay} diverged from the batch pipeline"
         );
-        let counters = result
+        let eps = result
             .report
             .streaming
             .as_ref()
-            .expect("streaming counters present");
-        let eps = counters.events_per_sec;
-        if threads == 1 {
-            serial_eps = eps;
-        }
+            .expect("streaming counters present")
+            .events_per_sec;
         best_eps = best_eps.max(eps);
-        let speedup = if serial_eps > 0.0 {
-            eps / serial_eps
-        } else {
-            0.0
-        };
         println!(
-            "threads {threads:>2}: {eps:>12.0} events/s  ({speedup:.2}x vs serial, {:.3} ms total)",
+            "replay {replay}: {eps:>12.0} events/s  ({:.3} ms total)",
             result.report.total_millis()
         );
-        thread_curve.push(json!({
-            "threads": threads,
-            "chunk": SWEEP_CHUNK,
+        replays.push(json!({
+            "replay": replay,
+            "chunk": REPLAY_CHUNK,
             "events": (events.len()),
             "events_per_sec": eps,
-            "speedup_vs_serial": speedup,
             "total_micros": (result.report.total_micros),
         }));
     }
-    println!("all sweep replays byte-identical to batch ✓");
+    println!("all replays byte-identical to batch ✓");
 
     if sweep {
         use faultline_sim::scenario::{run, ScenarioParams};
@@ -137,12 +95,12 @@ fn main() {
         "scenario": "paper_389d",
         "seed": 42,
         "runs": runs,
-        "threads_sweep": thread_curve,
+        "replays": replays,
         "headline": {
-            // Best chunked non-durable ingest rate across the thread
-            // curve — the number the regression gate compares.
+            // Best chunked non-durable ingest rate across the replays —
+            // the number the regression gate compares.
             "ingest_events_per_sec": best_eps,
-            "chunk": SWEEP_CHUNK,
+            "chunk": REPLAY_CHUNK,
         },
     });
     write_bench_json("results/BENCH_pipeline.json", &doc);

@@ -1,6 +1,6 @@
 //! Streaming-replay benchmark: feed the paper-scale scenario through
-//! [`faultline_core::StreamAnalysis`] at several micro-batch sizes and
-//! thread counts, check each replay against the batch pipeline
+//! [`faultline_core::StreamAnalysis`] at several micro-batch sizes,
+//! check each replay against the batch pipeline
 //! byte-for-byte, and record the throughput datapoints as
 //! `results/BENCH_stream.json`.
 //!
@@ -15,30 +15,27 @@
 //! a finalized-at-flush count near the failure count would mean it
 //! degenerated into batch.
 
-use faultline_bench::{
-    analyze_with, config_with_threads, labeled_report_json, paper_event_workload, write_bench_json,
-};
-use faultline_core::{PipelineReport, StreamAnalysis};
+use faultline_bench::{analyze_with, labeled_report_json, paper_event_workload, write_bench_json};
+use faultline_core::{AnalysisConfig, PipelineReport, StreamAnalysis};
 use serde_json::json;
 
 fn main() {
     let (data, events) = paper_event_workload();
 
-    let batch = analyze_with(&data, config_with_threads(0));
+    let batch = analyze_with(&data, AnalysisConfig::default());
     let batch_json = serde_json::to_string(&batch.output).expect("serialize batch output");
     println!("batch reference: {:.3} ms", batch.report.total_millis());
 
     let mut runs: Vec<serde_json::Value> = Vec::new();
     runs.push(report_json("batch_reference", &batch.report));
 
-    for (label, chunk, threads) in [
-        ("event_at_a_time", 1usize, 1usize),
-        ("chunk_256_serial", 256, 1),
-        ("chunk_256_parallel", 256, 0),
-        ("chunk_4096_parallel", 4096, 0),
-        ("one_shot_parallel", usize::MAX, 0),
+    for (label, chunk) in [
+        ("event_at_a_time", 1usize),
+        ("chunk_256", 256),
+        ("chunk_4096", 4096),
+        ("one_shot", usize::MAX),
     ] {
-        let mut stream = StreamAnalysis::new(&data, config_with_threads(threads));
+        let mut stream = StreamAnalysis::new(&data, AnalysisConfig::default());
         if chunk == 1 {
             for e in &events {
                 stream.ingest(e);

@@ -7,7 +7,7 @@
 
 use faultline_core::export::pipeline_report_json;
 use faultline_core::{
-    scenario_event_stream, Analysis, AnalysisConfig, ParallelismConfig, PipelineReport, StreamEvent,
+    scenario_event_stream, Analysis, AnalysisConfig, PipelineReport, StreamEvent,
 };
 use faultline_sim::scenario::{run, ScenarioData, ScenarioParams};
 
@@ -41,8 +41,8 @@ pub fn analyze(data: &ScenarioData) -> Analysis<'_> {
 }
 
 /// Run the full analysis pipeline on a scenario with an explicit
-/// configuration (e.g. a specific [`faultline_core::ParallelismConfig`]),
-/// printing the per-stage report to stderr.
+/// configuration (e.g. a quarantine horizon), printing the per-stage
+/// report to stderr.
 pub fn analyze_with(data: &ScenarioData, config: AnalysisConfig) -> Analysis<'_> {
     let t0 = std::time::Instant::now();
     let a = Analysis::run(data, config);
@@ -69,18 +69,6 @@ pub fn paper_event_workload() -> (ScenarioData, Vec<StreamEvent>) {
         events.len()
     );
     (data, events)
-}
-
-/// An [`AnalysisConfig`] with an explicit worker-thread count (`0` =
-/// size to the machine).
-pub fn config_with_threads(threads: usize) -> AnalysisConfig {
-    AnalysisConfig {
-        parallelism: ParallelismConfig {
-            threads,
-            ..ParallelismConfig::default()
-        },
-        ..AnalysisConfig::default()
-    }
 }
 
 /// A [`PipelineReport`] rendered to a labelled JSON object, ready for a

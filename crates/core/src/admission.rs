@@ -29,11 +29,11 @@
 //! `admitted + shed + quarantined == offered` — no event is ever
 //! unaccounted for, under any interleaving of offers and drains.
 //!
-//! Shedding happens *upstream* of classification, threading, and shard
+//! Shedding happens *upstream* of classification and shard
 //! partitioning, so the surviving stream — and therefore the flushed
-//! [`crate::streaming::StreamOutput`] — is byte-identical for every
-//! thread count and every cluster shard count (`tests/overload.rs` pins
-//! this with a property test over threads × shards).
+//! [`crate::streaming::StreamOutput`] — is byte-identical for one engine
+//! and for every cluster shard count (`tests/overload.rs` pins this with
+//! a property test over shards).
 //!
 //! [`run_overloaded`] and [`run_overloaded_cluster`] drive a whole
 //! offered stream through the controller on a **simulated clock**
@@ -44,7 +44,7 @@
 
 use crate::analysis::AnalysisConfig;
 use crate::cluster::{run_cluster, ClusterConfig, ClusterResult};
-use crate::error::AnalysisError;
+use crate::error::{AnalysisError, TransportError};
 use crate::observe::OverloadCounters;
 use crate::streaming::{IngestSummary, StreamAnalysis, StreamEvent, StreamResult};
 use faultline_sim::ScenarioData;
@@ -401,7 +401,7 @@ impl SimSchedule {
 /// delivery order plus the shedding ledger (`admitted`/`quarantined`
 /// still zero — the caller folds engine outcomes in). Because shedding
 /// runs upstream of everything else, these survivors are **the**
-/// degraded stream: feeding them to one engine, four threads, or any
+/// degraded stream: feeding them to one engine or to a cluster of any
 /// shard count yields byte-identical output.
 pub fn shed_survivors(
     events: &[StreamEvent],
@@ -495,7 +495,7 @@ pub fn run_overloaded_cluster(
     cluster: &ClusterConfig,
     admission: &AdmissionConfig,
     schedule: SimSchedule,
-) -> Result<(ClusterResult, OverloadCounters), AnalysisError> {
+) -> Result<(ClusterResult, OverloadCounters), TransportError> {
     let (survivors, mut counters) = shed_survivors(events, admission, schedule);
     let result = run_cluster(data, &survivors, cluster)?;
     let quarantined =

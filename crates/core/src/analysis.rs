@@ -3,9 +3,9 @@
 //!
 //! [`Analysis::new`] runs the full pipeline once — as the batch **driver**
 //! over the shared [`crate::kernel`]: one classification pass over the
-//! time-merged archive, per-link lanes fanned across the [`crate::par`]
-//! pool under a single end-of-archive watermark (batch = a stream whose
-//! watermark jumps straight to the end). The `table*`/`figure1` methods
+//! time-merged archive, then every per-link lane applied under a single
+//! end-of-archive watermark (batch = a stream whose watermark jumps
+//! straight to the end). The `table*`/`figure1` methods
 //! then derive each exhibit from the resulting
 //! [`StreamOutput`]. Experiment binaries in
 //! `faultline-bench` print these structures; integration tests assert on
@@ -13,10 +13,9 @@
 
 use crate::arena::EventArena;
 use crate::error::AnalysisError;
-use crate::flap::{detect_episodes_par, FlapIndex};
+use crate::flap::{detect_episodes, FlapIndex};
 use crate::fp::{
-    classify_ambiguous_par, classify_false_positives_par, AmbiguityCounts, FpReport,
-    LinkStateTimeline,
+    classify_ambiguous, classify_false_positives, AmbiguityCounts, FpReport, LinkStateTimeline,
 };
 use crate::intern::FastMap;
 use crate::isolation::{self, IsolationComparison, IsolationOutcome};
@@ -27,7 +26,6 @@ use crate::matching::{
     match_fraction, match_transitions_to_messages, FailureMatching, TransitionMatchCounts,
 };
 use crate::observe::{self, PipelineReport, RobustnessCounters};
-use crate::par::ParallelismConfig;
 use crate::reconstruct::{AmbiguityStrategy, Failure};
 use crate::stats::{metric_samples, Ecdf, MetricSamples, Summary};
 use crate::transitions::{LinkTransition, MessageFamily, ResolvedMessage};
@@ -61,11 +59,6 @@ pub struct AnalysisConfig {
     pub short_fp_threshold: Duration,
     /// Double-message interpretation (§4.3).
     pub strategy: AmbiguityStrategy,
-    /// Per-link fan-out configuration. Not part of the paper:
-    /// `threads = 1` reproduces the serial pipeline, and every thread
-    /// count yields identical results (see `tests/determinism.rs`).
-    #[serde(default)]
-    pub parallelism: ParallelismConfig,
     /// Quarantine horizon: messages and transitions stamped *after* this
     /// instant are diverted into
     /// [`crate::observe::RobustnessCounters`] instead of entering the
@@ -87,7 +80,6 @@ impl Default for AnalysisConfig {
             ticket_slack: Duration::from_hours(3),
             short_fp_threshold: Duration::from_secs(10),
             strategy: AmbiguityStrategy::PreviousState,
-            parallelism: ParallelismConfig::default(),
             quarantine_horizon: None,
         }
     }
@@ -132,9 +124,8 @@ impl<'a> Analysis<'a> {
     /// Run the full pipeline once, as the batch driver over the shared
     /// [`crate::kernel`]: classify the time-merged archive in one serial
     /// pass, apply every lane's events under a single end-of-archive
-    /// watermark (fanned across threads per `config.parallelism`), and
-    /// collect. The result is identical for every thread count — and
-    /// byte-identical to a streaming replay of the same data. Stage
+    /// watermark, and collect. The result is byte-identical to a
+    /// streaming replay of the same data. Stage
     /// timings and counters land in [`Analysis::report`].
     ///
     /// # Examples
@@ -151,15 +142,13 @@ impl<'a> Analysis<'a> {
     /// assert!(analysis.report.counters.syslog_ingested > 0);
     /// ```
     pub fn run(data: &'a ScenarioData, config: AnalysisConfig) -> Self {
-        let par_cfg = config.parallelism;
-        let mut report = PipelineReport::new(par_cfg.effective_threads());
+        let mut report = PipelineReport::default();
         let run_started = Instant::now();
         observe::narrate(|| {
             format!(
-                "pipeline start: {} syslog messages, {} listener transitions, {} thread(s)",
+                "pipeline start: {} syslog messages, {} listener transitions",
                 data.syslog.len(),
-                data.transitions.len(),
-                par_cfg.effective_threads()
+                data.transitions.len()
             )
         });
 
@@ -224,7 +213,7 @@ impl<'a> Analysis<'a> {
             t.elapsed(),
         );
 
-        // Lane pass: one fan-out of every per-link state machine, with
+        // Lane pass: every per-link state machine consumes its run, with
         // the watermark already at end-of-archive — batch is just a
         // stream whose watermark jumps straight to the end.
         let t = Instant::now();
@@ -331,11 +320,7 @@ impl<'a> Analysis<'a> {
         );
         // Flapping share of unmatched transitions (§4.1's 67%/61%).
         let flaps = FlapIndex::new(
-            &detect_episodes_par(
-                &self.output.isis_recon.failures,
-                self.config.flap_gap,
-                &self.config.parallelism,
-            ),
+            &detect_episodes(&self.output.isis_recon.failures, self.config.flap_gap),
             self.config.flap_pad,
         );
         let mut unmatched_down_in_flap = 0u64;
@@ -497,12 +482,7 @@ impl<'a> Analysis<'a> {
             .filter(|p| self.table.is_resolvable(p.link))
             .copied()
             .collect();
-        let (_, counts) = classify_ambiguous_par(
-            &ambiguous,
-            &timeline,
-            self.config.match_window,
-            &self.config.parallelism,
-        );
+        let (_, counts) = classify_ambiguous(&ambiguous, &timeline, self.config.match_window);
         (
             Table6 {
                 counts,
@@ -523,19 +503,10 @@ impl<'a> Analysis<'a> {
             .collect();
         fps.sort_by_key(|f| (f.link, f.start));
         let flaps = FlapIndex::new(
-            &detect_episodes_par(
-                &self.output.isis_failures,
-                self.config.flap_gap,
-                &self.config.parallelism,
-            ),
+            &detect_episodes(&self.output.isis_failures, self.config.flap_gap),
             self.config.flap_pad,
         );
-        classify_false_positives_par(
-            &fps,
-            &flaps,
-            self.config.short_fp_threshold,
-            &self.config.parallelism,
-        )
+        classify_false_positives(&fps, &flaps, self.config.short_fp_threshold)
     }
 
     /// Isolation outcomes for one source.
@@ -1286,7 +1257,6 @@ mod tests {
         for stage in ["link_table", "classify", "lane_apply", "collect"] {
             assert!(a.report.stage(stage).is_some(), "missing stage {stage}");
         }
-        assert!(a.report.threads >= 1);
         assert!(a.report.counters.syslog_ingested > 0);
         assert!(a.report.counters.isis_ingested > 0);
         assert!(a.report.counters.transitions_derived > 0);
@@ -1297,54 +1267,6 @@ mod tests {
                 == a.report.counters.failures_reconstructed
         );
         let _ = format!("{}", a.report);
-    }
-
-    #[test]
-    fn serial_and_parallel_runs_agree() {
-        let data = run(&ScenarioParams::tiny(33));
-        let serial = Analysis::run(
-            &data,
-            AnalysisConfig {
-                parallelism: ParallelismConfig::SERIAL,
-                ..AnalysisConfig::default()
-            },
-        );
-        let par = Analysis::run(
-            &data,
-            AnalysisConfig {
-                parallelism: ParallelismConfig {
-                    threads: 4,
-                    chunk_size: 3,
-                },
-                ..AnalysisConfig::default()
-            },
-        );
-        assert_eq!(serial.output.is_transitions, par.output.is_transitions);
-        assert_eq!(serial.output.ip_transitions, par.output.ip_transitions);
-        assert_eq!(
-            serial.output.syslog_transitions,
-            par.output.syslog_transitions
-        );
-        assert_eq!(serial.output.isis_failures, par.output.isis_failures);
-        assert_eq!(serial.output.syslog_failures, par.output.syslog_failures);
-        assert_eq!(serial.output.matching.matched, par.output.matching.matched);
-        assert_eq!(serial.output.matching.partial, par.output.matching.partial);
-        assert_eq!(format!("{}", serial.table4()), format!("{}", par.table4()));
-        assert_eq!(
-            format!("{}", serial.table6().0),
-            format!("{}", par.table6().0)
-        );
-    }
-
-    #[test]
-    fn config_with_parallelism_deserializes_from_legacy_json() {
-        // Configs serialized before the parallelism field existed must
-        // still load (serde default fills it in).
-        let json = serde_json::to_string(&AnalysisConfig::default()).unwrap();
-        let mut value: serde_json::Value = serde_json::from_str(&json).unwrap();
-        value.as_object_mut().unwrap().remove("parallelism");
-        let config: AnalysisConfig = serde_json::from_value(value).unwrap();
-        assert_eq!(config.parallelism, ParallelismConfig::default());
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! order, the sort key is `(key, index)`, and `sort_unstable` is safe
 //! because the index makes keys unique — so per-key event order is
 //! exactly push order, and groups iterate in ascending key order. Those
-//! are the two determinism properties the kernel's lane fan-out relies
+//! are the two determinism properties the kernel's lane pass relies
 //! on.
 
 /// A struct-of-arrays, reusable buffer of keyed events with stable

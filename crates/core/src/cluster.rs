@@ -9,7 +9,17 @@
 //! substream, and the per-shard answers can be merged back into the
 //! exact single-process answer. This module is that runtime, built as a
 //! **dispatcher + N workers speaking a serializable protocol** over a
-//! [`ShardTransport`] (see [`crate::transport`]):
+//! [`ShardTransport`] (see [`crate::transport`]). It is also the
+//! repository's one parallelism mechanism: a single engine runs its
+//! per-link lanes serially, and link-level parallelism comes from
+//! running N engines as cluster workers.
+//!
+//! [`run_cluster`] is the one entry point. A [`ClusterConfig`] names
+//! where the workers run ([`Workers::InProcess`] threads or
+//! [`Workers::Subprocess`] processes) and what the run does
+//! ([`ClusterMode::Plain`], [`ClusterMode::Durable`] or
+//! [`ClusterMode::Reshard`]); every combination shares one body and
+//! returns one [`ClusterResult`] or one [`TransportError`].
 //!
 //! ```text
 //!               ShardMsg over a ShardTransport
@@ -41,7 +51,7 @@
 //!   byte-for-byte the history it would see in a single process. The
 //!   default [`crate::transport::InProcessTransport`] runs workers as
 //!   scoped threads behind bounded channels (messages move by value);
-//!   [`run_cluster_subprocess`] runs the same protocol against
+//!   [`Workers::Subprocess`] runs the same protocol against
 //!   `faultline-shard-worker` child processes over hashed stdio frames.
 //! - **Aggregator.** [`merge_outputs`] rebuilds the global
 //!   [`StreamOutput`] from the shard outputs *in worker-index order*:
@@ -56,7 +66,7 @@
 //!   tested shard count, seed, and chaos preset;
 //!   `tests/cluster_process.rs` asserts the same across the subprocess
 //!   transport.
-//! - **Supervisor.** In the durable runtime ([`run_durable_cluster`])
+//! - **Supervisor.** In the durable runtime ([`ClusterMode::Durable`])
 //!   every shard journals and checkpoints under its own `shard-{i}/`
 //!   directory. When a worker dies mid-run — a deterministic
 //!   [`faultline_sim::chaos::ShardKill`] abort, or a real `SIGKILL` of a
@@ -67,7 +77,7 @@
 //!   unconsumed tail of its substream, and the merged answer is still
 //!   byte-identical; healthy shards never restart
 //!   (`tests/cluster_recovery.rs`, `tests/cluster_process.rs`).
-//! - **Live resharding.** [`run_reshard_cluster`] grows a running
+//! - **Live resharding.** [`ClusterMode::Reshard`] grows a running
 //!   cluster N → N+1 at an event boundary: dispatch pauses, the lanes
 //!   of exactly the links jump-hash reassigns are detached from their
 //!   old workers ([`crate::transport::ShardMsg::ExportLanes`]), shipped
@@ -79,7 +89,7 @@
 //!   (`tests/cluster_reshard.rs`).
 
 use crate::analysis::{self, AnalysisConfig};
-use crate::error::{AnalysisError, RecoveryError, TransportError};
+use crate::error::TransportError;
 use crate::intern::Sym;
 use crate::linktable::{self, LinkIx, LinkTable};
 use crate::matching::FailureMatching;
@@ -102,7 +112,7 @@ use faultline_sim::ScenarioData;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// The partition key used for events that resolve to no link (unknown
 /// hostnames, foreign prefixes, unparseable subjects). They only
@@ -232,13 +242,6 @@ fn partition_batches(
         }
     }
     queues
-}
-
-fn batch_counts(batches: &[VecDeque<Vec<StreamEvent>>]) -> Vec<u64> {
-    batches
-        .iter()
-        .map(|q| q.iter().map(|b| b.len() as u64).sum())
-        .collect()
 }
 
 fn add_resolve(into: &mut SyslogResolveStats, from: &SyslogResolveStats) {
@@ -472,6 +475,68 @@ pub fn merge_outputs(shards: Vec<StreamOutput>) -> StreamOutput {
     }
 }
 
+/// Where a cluster's workers run.
+#[derive(Debug, Clone)]
+pub enum Workers {
+    /// Scoped threads in this process behind bounded channels
+    /// ([`InProcessTransport`]); messages move by value.
+    InProcess,
+    /// `faultline-shard-worker` child processes speaking hashed frames
+    /// over stdio ([`SubprocessTransport`]).
+    Subprocess(SubprocessOptions),
+}
+
+/// How to run cluster workers as `faultline-shard-worker` subprocesses.
+#[derive(Debug, Clone)]
+pub struct SubprocessOptions {
+    /// The worker binary (see [`crate::transport::locate_worker_bin`]).
+    pub worker_bin: PathBuf,
+    /// How each worker materializes its own copy of the scenario —
+    /// must describe the same data the dispatcher routes with
+    /// ([`ScenarioSpec::Params`] or [`ScenarioSpec::Inline`]).
+    pub scenario: ScenarioSpec,
+}
+
+/// What a cluster run does between starting its workers and merging
+/// their outputs.
+#[derive(Debug, Clone)]
+pub enum ClusterMode {
+    /// Feed, flush, merge. Any worker loss is an error — a non-durable
+    /// worker has no state to recover.
+    Plain,
+    /// Every worker owns a [`crate::recovery::DurableStream`] journaling
+    /// and checkpointing under `root/shard-{i}/` ([`shard_dir`]; `root`
+    /// must not hold prior durable state). A worker that dies mid-run is
+    /// respawned, recovered through the ordinary
+    /// [`crate::recovery::DurableStream::recover`] ladder and re-fed only
+    /// the unconsumed tail of its substream; healthy workers are never
+    /// restarted or re-fed.
+    Durable {
+        /// The cluster's durability root.
+        root: PathBuf,
+        /// Journal and checkpoint policy, identical on every shard.
+        policy: DurabilityPolicy,
+        /// Deterministic in-worker aborts: each named worker dies after
+        /// consuming exactly `after_events` of its substream — no flush,
+        /// no farewell message.
+        kills: Vec<ShardKill>,
+        /// Dispatcher-side kills: the dispatcher kills the named worker
+        /// at the first send boundary at or past `after_events` — a real
+        /// `SIGKILL` for subprocess workers, a hung-up command channel
+        /// for in-process ones.
+        hard_kills: Vec<ShardKill>,
+    },
+    /// Grow the running cluster from `shards` to `shards + 1` workers at
+    /// event boundary `split_at` (clamped to the stream length): dispatch
+    /// pauses, exactly the lanes jump-hash reassigns migrate to the new
+    /// worker as serialized snapshots, and the rest of the stream is
+    /// dispatched at (N+1)-shard routing.
+    Reshard {
+        /// The event-stream position the reshard happens at.
+        split_at: usize,
+    },
+}
+
 /// How a sharded cluster run is shaped.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
@@ -483,22 +548,29 @@ pub struct ClusterConfig {
     /// Micro-batch size of each [`ShardMsg::Events`] frame the
     /// dispatcher sends.
     pub chunk: usize,
+    /// Where the workers run.
+    pub workers: Workers,
+    /// What the run does beyond feed, flush and merge.
+    pub mode: ClusterMode,
 }
 
 impl ClusterConfig {
-    /// A cluster of `shards` workers with the default analysis
-    /// configuration and micro-batch size.
+    /// A plain in-process cluster of `shards` workers with the default
+    /// analysis configuration and micro-batch size.
     pub fn new(shards: u32) -> Self {
         ClusterConfig {
             shards,
             analysis: AnalysisConfig::default(),
             chunk: 2048,
+            workers: Workers::InProcess,
+            mode: ClusterMode::Plain,
         }
     }
 }
 
 /// What a cluster run produces: the merged (single-process-identical)
-/// output, the cluster-level report, and each shard's own report.
+/// output, the cluster-level report, each shard's own report, and the
+/// mode's ledger.
 pub struct ClusterResult {
     /// The merged derived surface — byte-identical to the single-process
     /// answer on the same stream.
@@ -510,29 +582,40 @@ pub struct ClusterResult {
     pub report: PipelineReport,
     /// Every shard's own [`PipelineReport`], in worker-index order.
     pub shard_reports: Vec<PipelineReport>,
+    /// Every recovery the supervisor performed, in shard order; empty
+    /// unless a durable worker died.
+    pub recoveries: Vec<ShardRecovery>,
+    /// Per-shard `DurabilityCounters::restores` — the
+    /// healthy-shards-never-restart contract is `restores == 0` for every
+    /// shard not named in a [`ShardKill`]. Empty unless durable.
+    pub shard_restores: Vec<u64>,
+    /// What a live reshard moved, and what it cost; `None` unless
+    /// resharding.
+    pub reshard: Option<ReshardReport>,
 }
 
-/// Wall-clock attribution for [`assemble_result`].
-struct ClusterWalls {
-    dispatch: std::time::Duration,
-    shard_ingest: std::time::Duration,
-    merge: std::time::Duration,
-    total: std::time::Duration,
-}
-
-/// Fold shard outputs + reports into a [`ClusterResult`] (the merge has
-/// already run; this builds the accounting around it).
-#[allow(clippy::too_many_arguments)]
+/// Merge the shard outputs and build the cluster accounting around
+/// them. `dispatch` and `shard_ingest` are the walls of the stages
+/// before the merge; the run's total wall is read from `started`.
 fn assemble_result(
-    output: StreamOutput,
-    shard_reports: Vec<PipelineReport>,
-    events_per_shard: Vec<u64>,
+    driven: Driven,
     links_per_shard: Vec<u64>,
-    walls: ClusterWalls,
-    recovery_events: u64,
-    durability: Option<DurabilityCounters>,
-    transport: Option<TransportCounters>,
+    dispatch: Duration,
+    shard_ingest: Duration,
+    started: Instant,
+    transport: TransportCounters,
 ) -> ClusterResult {
+    let Driven {
+        outputs,
+        reports: shard_reports,
+        events_per_shard,
+        recoveries,
+        reshard,
+    } = driven;
+    let t_merge = Instant::now();
+    let output = merge_outputs(outputs);
+    let merge = t_merge.elapsed();
+    let total = started.elapsed();
     let shards = events_per_shard.len() as u32;
     let total_events: u64 = events_per_shard.iter().sum();
     let max_shard_events = events_per_shard.iter().copied().max().unwrap_or(0);
@@ -543,6 +626,8 @@ fn assemble_result(
     } else {
         0.0
     };
+    let recovery_events = recoveries.len() as u64;
+    let (durability, shard_restores) = fold_durability(&shard_reports);
 
     let mut streaming = StreamingCounters::default();
     let mut robustness = observe::RobustnessCounters::default();
@@ -576,27 +661,26 @@ fn assemble_result(
         robustness.quarantined_syslog += r.robustness.quarantined_syslog;
         robustness.quarantined_isis += r.robustness.quarantined_isis;
     }
-    let total_secs = walls.total.as_secs_f64();
+    let total_secs = total.as_secs_f64();
     streaming.events_per_sec = if total_secs > 0.0 {
         streaming.events_ingested as f64 / total_secs
     } else {
         0.0
     };
 
-    let threads = shard_reports.first().map(|r| r.threads).unwrap_or(1);
-    let mut report = PipelineReport::new(threads);
-    report.record_stage("dispatch", total_events, total_events, walls.dispatch);
+    let mut report = PipelineReport::default();
+    report.record_stage("dispatch", total_events, total_events, dispatch);
     report.record_stage(
         "shard_ingest",
         total_events,
         output.counters.transitions_derived,
-        walls.shard_ingest,
+        shard_ingest,
     );
     report.record_stage(
         "merge",
         output.counters.failures_after_sanitize,
         output.counters.failures_matched,
-        walls.merge,
+        merge,
     );
     report.counters = output.counters;
     report.streaming = Some(streaming);
@@ -610,10 +694,10 @@ fn assemble_result(
         min_shard_events,
         skew,
         recovery_events,
-        merge_micros: walls.merge.as_micros() as u64,
+        merge_micros: merge.as_micros() as u64,
     });
-    report.transport = transport;
-    report.total_micros = walls.total.as_micros() as u64;
+    report.transport = Some(transport);
+    report.total_micros = total.as_micros() as u64;
     observe::narrate(|| {
         format!(
             "cluster done: {shards} shards, {total_events} events, skew {skew:.2}, {recovery_events} recoveries"
@@ -623,6 +707,9 @@ fn assemble_result(
         output,
         report,
         shard_reports,
+        recoveries,
+        shard_restores,
+        reshard,
     }
 }
 
@@ -633,6 +720,82 @@ fn links_per_shard(table: &LinkTable, shards: u32) -> Vec<u64> {
         counts[shard_of_link(table, ix, shards) as usize] += 1;
     }
     counts
+}
+
+/// The durability directory of one shard under the cluster root:
+/// `root/shard-{i}/` — each shard journals and checkpoints entirely
+/// within its own directory, which is what lets the supervisor recover
+/// it without touching any other shard's state.
+pub fn shard_dir(root: &Path, shard: u32) -> PathBuf {
+    root.join(format!("shard-{shard}"))
+}
+
+/// One supervisor recovery: which shard died and what
+/// [`crate::recovery::DurableStream::recover`] found in its `shard-{i}/` directory.
+#[derive(Debug, Clone)]
+pub struct ShardRecovery {
+    /// The shard that was recovered.
+    pub shard: u32,
+    /// The recovery ladder's findings for that shard.
+    pub report: RecoveryReport,
+}
+
+/// The migration ledger of one live reshard.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct ReshardReport {
+    /// Shard count before the grow.
+    pub from_shards: u32,
+    /// Shard count after the grow (`from_shards + 1`).
+    pub to_shards: u32,
+    /// The event-stream position the reshard happened at.
+    pub split_at: usize,
+    /// Exactly the links jump-hash reassigned — every one maps to the
+    /// new shard, pinned by `tests/cluster_reshard.rs` against an
+    /// independent recomputation.
+    pub moved_links: Vec<LinkIx>,
+    /// Live lanes actually shipped (moved links whose lane had opened;
+    /// the rest are state-free and start fresh on the new worker).
+    pub lanes_moved: u64,
+    /// Wall-clock cost of the pause: grow + export + ship + import.
+    pub migration_micros: u64,
+}
+
+/// Aggregate per-shard durability counters into the cluster-wide figure
+/// (sums, except high-water marks and rates which take the worst shard)
+/// and collect the per-shard restore counts. `None` and no restores
+/// when no shard is durable.
+fn fold_durability(reports: &[PipelineReport]) -> (Option<DurabilityCounters>, Vec<u64>) {
+    let mut durability: Option<DurabilityCounters> = None;
+    let mut shard_restores = Vec::new();
+    for d in reports.iter().filter_map(|r| r.durability) {
+        shard_restores.push(d.restores);
+        let sum = durability.get_or_insert_with(DurabilityCounters::default);
+        sum.checkpoints_written += d.checkpoints_written;
+        sum.checkpoint_bytes_last = sum.checkpoint_bytes_last.max(d.checkpoint_bytes_last);
+        sum.checkpoint_write_micros_max = sum
+            .checkpoint_write_micros_max
+            .max(d.checkpoint_write_micros_max);
+        sum.checkpoint_retries += d.checkpoint_retries;
+        sum.journal_records += d.journal_records;
+        sum.journal_segments += d.journal_segments;
+        sum.journal_bytes += d.journal_bytes;
+        sum.journal_fsyncs += d.journal_fsyncs;
+        sum.restores += d.restores;
+        sum.events_replayed += d.events_replayed;
+        sum.journal_truncated_records += d.journal_truncated_records;
+        sum.deltas_written += d.deltas_written;
+        sum.delta_bytes_total += d.delta_bytes_total;
+        sum.full_bytes_total += d.full_bytes_total;
+        sum.chain_length_at_recovery = sum.chain_length_at_recovery.max(d.chain_length_at_recovery);
+        sum.snapshot_thread_stalls += d.snapshot_thread_stalls;
+        sum.snapshot_sync_fallbacks += d.snapshot_sync_fallbacks;
+        sum.ingest_stall_micros += d.ingest_stall_micros;
+        // A rate, so the cluster-wide figure is the worst shard, not a sum.
+        sum.snapshot_stall_rate_per_sec = sum
+            .snapshot_stall_rate_per_sec
+            .max(d.snapshot_stall_rate_per_sec);
+    }
+    (durability, shard_restores)
 }
 
 // ---------------------------------------------------------------------------
@@ -696,15 +859,13 @@ fn feed_round_robin<T: ShardTransport + ?Sized>(
 /// overlaps worker ingest instead of running as a separate
 /// materialize-everything pass. Flush and collect in worker-index
 /// order. Any worker loss is an error — a non-durable worker has no
-/// state to recover. Returns outputs, reports, and the per-shard event
-/// counts the fused pass tallied.
-#[allow(clippy::type_complexity)]
+/// state to recover.
 fn drive_stream_feed<T: ShardTransport + ?Sized>(
     transport: &mut T,
     table: &LinkTable,
     events: &[StreamEvent],
     chunk: usize,
-) -> Result<(Vec<StreamOutput>, Vec<PipelineReport>, Vec<u64>), TransportError> {
+) -> Result<Driven, TransportError> {
     let workers = transport.workers();
     let n = workers as u32;
     let chunk = chunk.max(1);
@@ -749,10 +910,16 @@ fn drive_stream_feed<T: ShardTransport + ?Sized>(
         outputs.push(output);
         reports.push(report);
     }
-    Ok((outputs, reports, counts))
+    Ok(Driven {
+        outputs,
+        reports,
+        events_per_shard: counts,
+        recoveries: Vec::new(),
+        reshard: None,
+    })
 }
 
-/// The durable dispatcher: like [`drive_feed_flush`], but worker losses
+/// The durable dispatcher: like [`drive_stream_feed`], but worker losses
 /// during feed/flush/collect are *expected* (deterministic aborts and
 /// real SIGKILLs both surface as a dead transport endpoint). Dead
 /// workers are respawned with their recovery spec, resumed from the
@@ -761,14 +928,13 @@ fn drive_stream_feed<T: ShardTransport + ?Sized>(
 /// the same worker propagates. `hard_kills` makes the *dispatcher*
 /// kill the named worker at the first send boundary at or past
 /// `after_events` — a genuine SIGKILL for subprocess transports.
-#[allow(clippy::type_complexity)]
 fn drive_durable<T: ShardTransport + ?Sized>(
     transport: &mut T,
     routed: &[Vec<StreamEvent>],
     chunk: usize,
     hard_kills: &[ShardKill],
     respawn_spec: &dyn Fn(u32) -> WorkerSpec,
-) -> Result<(Vec<StreamOutput>, Vec<PipelineReport>, Vec<ShardRecovery>), TransportError> {
+) -> Result<Driven, TransportError> {
     let workers = transport.workers();
     debug_assert_eq!(workers, routed.len());
     let chunk = chunk.max(1);
@@ -893,38 +1059,36 @@ fn drive_durable<T: ShardTransport + ?Sized>(
         .into_iter()
         .map(|r| r.expect("every dead shard recovered above"))
         .collect();
-    Ok((outputs, reports, recoveries))
+    Ok(Driven {
+        outputs,
+        reports,
+        events_per_shard: routed.iter().map(|r| r.len() as u64).collect(),
+        recoveries,
+        reshard: None,
+    })
 }
 
 /// The live-reshard dispatcher: feed the pre-split stream at N-shard
 /// routing, pause at the boundary, [`ShardTransport::grow`] worker N,
 /// detach exactly the lanes jump-hash reassigns from their old workers
 /// and attach them to the new one, then resume at (N+1)-shard routing.
-/// Returns the flushed outputs plus the migration ledger.
-#[allow(clippy::type_complexity)]
+/// `split` is the stream position `pre` ends at, recorded in the
+/// migration ledger.
 fn drive_reshard<T: ShardTransport + ?Sized>(
     transport: &mut T,
     table: &LinkTable,
-    pre: Vec<VecDeque<Vec<StreamEvent>>>,
-    post: Vec<VecDeque<Vec<StreamEvent>>>,
+    split: usize,
+    mut pre: Vec<VecDeque<Vec<StreamEvent>>>,
+    mut post: Vec<VecDeque<Vec<StreamEvent>>>,
     grow_spec: WorkerSpec,
-) -> Result<
-    (
-        Vec<StreamOutput>,
-        Vec<PipelineReport>,
-        Vec<LinkIx>,
-        u64,
-        u64,
-    ),
-    TransportError,
-> {
+) -> Result<Driven, TransportError> {
     let old_workers = transport.workers();
     debug_assert_eq!(old_workers, pre.len());
     debug_assert_eq!(old_workers + 1, post.len());
+    let events_per_shard = reshard_event_counts(&pre, &post);
     for worker in 0..old_workers {
         expect_ready(transport, worker)?;
     }
-    let mut pre = pre;
     feed_round_robin(transport, &mut pre)?;
 
     // --- the pause: grow, migrate exactly the reassigned lanes ---
@@ -995,7 +1159,6 @@ fn drive_reshard<T: ShardTransport + ?Sized>(
     });
 
     // --- resume dispatch at N+1 routing ---
-    let mut post = post;
     feed_round_robin(transport, &mut post)?;
     let workers = transport.workers();
     for worker in 0..workers {
@@ -1008,23 +1171,147 @@ fn drive_reshard<T: ShardTransport + ?Sized>(
         outputs.push(output);
         reports.push(report);
     }
-    Ok((outputs, reports, moved_links, lanes_moved, migration_micros))
+    Ok(Driven {
+        outputs,
+        reports,
+        events_per_shard,
+        recoveries: Vec::new(),
+        reshard: Some(ReshardReport {
+            from_shards: before_shards,
+            to_shards: after_shards,
+            split_at: split,
+            moved_links,
+            lanes_moved,
+            migration_micros,
+        }),
+    })
+}
+
+/// Per-worker event totals for a reshard run: pre-split counts at N
+/// routing plus post-split counts at N+1 routing.
+fn reshard_event_counts(
+    pre: &[VecDeque<Vec<StreamEvent>>],
+    post: &[VecDeque<Vec<StreamEvent>>],
+) -> Vec<u64> {
+    let mut counts = vec![0u64; post.len()];
+    for queues in [pre, post] {
+        for (w, queue) in queues.iter().enumerate() {
+            counts[w] += queue.iter().map(|b| b.len() as u64).sum::<u64>();
+        }
+    }
+    counts
 }
 
 // ---------------------------------------------------------------------------
-// In-process entry points
+// The one entry point
 // ---------------------------------------------------------------------------
 
-fn fresh_specs(shards: u32, cfg: &ClusterConfig, scenario: &ScenarioSpec) -> Vec<WorkerSpec> {
-    (0..shards)
-        .map(|shard| WorkerSpec::new(shard, shards, cfg.analysis.clone(), scenario.clone()))
-        .collect()
+/// The dispatch plan a mode computes before any worker starts.
+enum Feed<'a> {
+    /// Route and send in one fused pass ([`drive_stream_feed`]).
+    Stream,
+    /// Whole per-shard substreams, kept so a recovered worker can be
+    /// re-fed its unconsumed tail, and the dispatcher-side kills
+    /// ([`drive_durable`]).
+    Durable {
+        routed: Vec<Vec<StreamEvent>>,
+        hard_kills: &'a [ShardKill],
+    },
+    /// The batches before `split` at N-shard routing and after it at
+    /// (N+1)-shard routing ([`drive_reshard`]).
+    Reshard {
+        split: usize,
+        pre: Vec<VecDeque<Vec<StreamEvent>>>,
+        post: Vec<VecDeque<Vec<StreamEvent>>>,
+    },
 }
 
-/// Run the in-memory sharded cluster: partition `events` by link across
-/// `cfg.shards` workers, run each shard as an independent
-/// [`crate::streaming::StreamAnalysis`] behind the in-process transport,
-/// and merge the shard outputs into the single-process answer.
+/// What the transport-generic dispatch loops hand back.
+struct Driven {
+    /// Flushed shard outputs, in worker-index order.
+    outputs: Vec<StreamOutput>,
+    /// Shard reports, in worker-index order.
+    reports: Vec<PipelineReport>,
+    /// Events each worker was sent.
+    events_per_shard: Vec<u64>,
+    /// Supervisor recoveries (durable mode only).
+    recoveries: Vec<ShardRecovery>,
+    /// The migration ledger (reshard mode only).
+    reshard: Option<ReshardReport>,
+}
+
+/// The spec worker `shard` of a `shards`-worker cluster starts from:
+/// fresh, or — in durable mode — journaling under its own
+/// [`shard_dir`], recovering from it when `recover` is set. A fresh
+/// durable worker named in a [`ShardKill`] carries its abort point.
+fn worker_spec(
+    cfg: &ClusterConfig,
+    scenario: &ScenarioSpec,
+    shard: u32,
+    shards: u32,
+    recover: bool,
+) -> WorkerSpec {
+    let mut spec = WorkerSpec::new(shard, shards, cfg.analysis.clone(), scenario.clone());
+    if let ClusterMode::Durable {
+        root,
+        policy,
+        kills,
+        ..
+    } = &cfg.mode
+    {
+        spec.durable = Some(DurableSpec {
+            dir: shard_dir(root, shard).display().to_string(),
+            policy: *policy,
+            recover,
+        });
+        if !recover {
+            spec.abort_after_events = kills
+                .iter()
+                .find(|k| k.shard == shard)
+                .map(|k| k.after_events);
+        }
+    }
+    spec
+}
+
+/// Drive a started transport through the mode's dispatcher.
+fn drive<T: ShardTransport + ?Sized>(
+    transport: &mut T,
+    table: &LinkTable,
+    events: &[StreamEvent],
+    feed: Feed<'_>,
+    cfg: &ClusterConfig,
+    scenario: &ScenarioSpec,
+) -> Result<Driven, TransportError> {
+    let shards = transport.workers() as u32;
+    match feed {
+        Feed::Stream => drive_stream_feed(transport, table, events, cfg.chunk),
+        Feed::Durable { routed, hard_kills } => {
+            drive_durable(transport, &routed, cfg.chunk, hard_kills, &|shard| {
+                worker_spec(cfg, scenario, shard, shards, true)
+            })
+        }
+        Feed::Reshard { split, pre, post } => {
+            let grow = worker_spec(cfg, scenario, shards, shards + 1, false);
+            drive_reshard(transport, table, split, pre, post, grow)
+        }
+    }
+}
+
+/// Run a sharded cluster — the one entry point for every mode and
+/// transport. Validates the inputs once, partitions `events` by link
+/// across `cfg.shards` workers (each an independent
+/// [`crate::streaming::StreamAnalysis`], or a
+/// [`crate::recovery::DurableStream`] in [`ClusterMode::Durable`])
+/// started on the transport `cfg.workers` names, drives them through
+/// `cfg.mode`, and merges the shard outputs into the single-process
+/// answer.
+///
+/// Every failure is a [`TransportError`]: invalid inputs are
+/// [`TransportError::Analysis`] before any worker starts, a worker
+/// binary that cannot launch is [`TransportError::Spawn`], and a worker
+/// lost outside durable mode (or lost twice within it) names that
+/// worker.
 ///
 /// # Examples
 ///
@@ -1046,598 +1333,71 @@ pub fn run_cluster(
     data: &ScenarioData,
     events: &[StreamEvent],
     cfg: &ClusterConfig,
-) -> Result<ClusterResult, AnalysisError> {
-    let started = Instant::now();
-    // Validate configuration and input ordering once; shard workers then
-    // construct engines infallibly with the same inputs.
-    analysis::validate_inputs(data, &cfg.analysis)?;
-    let shards = cfg.shards.max(1);
-
-    // The dispatch stage covers the routing side inputs (link table +
-    // per-shard link assignment); the per-event route+send work is
-    // fused into the feed inside `drive_stream_feed`, so it lands in
-    // the shard_ingest wall it actually overlaps with.
-    let t_dispatch = Instant::now();
-    let table = linktable::from_scenario(data);
-    let per_shard_links = links_per_shard(&table, shards);
-    let dispatch_wall = t_dispatch.elapsed();
-
-    let t_shards = Instant::now();
-    let specs = fresh_specs(shards, cfg, &ScenarioSpec::Attached);
-    let driven = std::thread::scope(|scope| {
-        let mut transport = InProcessTransport::start(scope, data, specs);
-        let result = drive_stream_feed(&mut transport, &table, events, cfg.chunk);
-        (result, transport.counters())
-    });
-    // A worker panic re-raises at scope exit above, exactly as the
-    // former join-based runtime did; a transport-level anomaly with no
-    // panic behind it is a dispatcher bug.
-    let (outputs, shard_reports, events_per_shard) = driven
-        .0
-        .unwrap_or_else(|e| panic!("in-process shard transport failed: {e}"));
-    let shard_wall = t_shards.elapsed();
-
-    let t_merge = Instant::now();
-    let output = merge_outputs(outputs);
-    let merge_wall = t_merge.elapsed();
-
-    Ok(assemble_result(
-        output,
-        shard_reports,
-        events_per_shard,
-        per_shard_links,
-        ClusterWalls {
-            dispatch: dispatch_wall,
-            shard_ingest: shard_wall,
-            merge: merge_wall,
-            total: started.elapsed(),
-        },
-        0,
-        None,
-        Some(driven.1),
-    ))
-}
-
-/// The durability directory of one shard under the cluster root:
-/// `root/shard-{i}/` — each shard journals and checkpoints entirely
-/// within its own directory, which is what lets the supervisor recover
-/// it without touching any other shard's state.
-pub fn shard_dir(root: &Path, shard: u32) -> PathBuf {
-    root.join(format!("shard-{shard}"))
-}
-
-/// One supervisor recovery: which shard died and what
-/// [`crate::recovery::DurableStream::recover`] found in its `shard-{i}/` directory.
-#[derive(Debug, Clone)]
-pub struct ShardRecovery {
-    /// The shard that was recovered.
-    pub shard: u32,
-    /// The recovery ladder's findings for that shard.
-    pub report: RecoveryReport,
-}
-
-/// What [`run_durable_cluster`] hands back: the merged result plus the
-/// supervisor's recovery ledger.
-pub struct DurableClusterRun {
-    /// The merged cluster result (byte-identical to single-process).
-    pub result: ClusterResult,
-    /// Every recovery the supervisor performed, in shard order; empty
-    /// when no shard was killed.
-    pub recoveries: Vec<ShardRecovery>,
-    /// Per-shard `DurabilityCounters::restores` — the
-    /// healthy-shards-never-restart contract is `restores == 0` for every
-    /// shard not named in a [`ShardKill`].
-    pub shard_restores: Vec<u64>,
-}
-
-#[allow(clippy::too_many_arguments)]
-fn durable_spec(
-    root: &Path,
-    shard: u32,
-    shards: u32,
-    cfg: &ClusterConfig,
-    policy: &DurabilityPolicy,
-    scenario: &ScenarioSpec,
-    recover: bool,
-    abort_after_events: Option<u64>,
-) -> WorkerSpec {
-    WorkerSpec {
-        shard,
-        shards,
-        config: cfg.analysis.clone(),
-        scenario: scenario.clone(),
-        durable: Some(DurableSpec {
-            dir: shard_dir(root, shard).display().to_string(),
-            policy: *policy,
-            recover,
-        }),
-        abort_after_events,
-    }
-}
-
-fn transport_to_recovery_error(e: TransportError) -> RecoveryError {
-    RecoveryError::WorkerFailed {
-        shard: e.worker().unwrap_or(0) as u32,
-        detail: e.to_string(),
-    }
-}
-
-/// Aggregate per-shard durability counters into the cluster-wide figure
-/// (sums, except high-water marks and rates which take the worst shard)
-/// and collect the per-shard restore counts.
-fn fold_durability(reports: &[PipelineReport]) -> (DurabilityCounters, Vec<u64>) {
-    let mut durability = DurabilityCounters::default();
-    let mut shard_restores = Vec::with_capacity(reports.len());
-    for report in reports {
-        let d = report
-            .durability
-            .expect("durable shards always report durability");
-        shard_restores.push(d.restores);
-        durability.checkpoints_written += d.checkpoints_written;
-        durability.checkpoint_bytes_last = durability
-            .checkpoint_bytes_last
-            .max(d.checkpoint_bytes_last);
-        durability.checkpoint_write_micros_max = durability
-            .checkpoint_write_micros_max
-            .max(d.checkpoint_write_micros_max);
-        durability.checkpoint_retries += d.checkpoint_retries;
-        durability.journal_records += d.journal_records;
-        durability.journal_segments += d.journal_segments;
-        durability.journal_bytes += d.journal_bytes;
-        durability.journal_fsyncs += d.journal_fsyncs;
-        durability.restores += d.restores;
-        durability.events_replayed += d.events_replayed;
-        durability.journal_truncated_records += d.journal_truncated_records;
-        durability.deltas_written += d.deltas_written;
-        durability.delta_bytes_total += d.delta_bytes_total;
-        durability.full_bytes_total += d.full_bytes_total;
-        durability.chain_length_at_recovery = durability
-            .chain_length_at_recovery
-            .max(d.chain_length_at_recovery);
-        durability.snapshot_thread_stalls += d.snapshot_thread_stalls;
-        durability.snapshot_sync_fallbacks += d.snapshot_sync_fallbacks;
-        durability.ingest_stall_micros += d.ingest_stall_micros;
-        // A rate, so the cluster-wide figure is the worst shard, not a sum.
-        durability.snapshot_stall_rate_per_sec = durability
-            .snapshot_stall_rate_per_sec
-            .max(d.snapshot_stall_rate_per_sec);
-    }
-    (durability, shard_restores)
-}
-
-/// Run the durable sharded cluster: like [`run_cluster`], but every
-/// worker owns a [`crate::recovery::DurableStream`] journaling and checkpointing under
-/// its own `shard-{i}/` directory beneath `root` (which must not hold
-/// prior durable state). `kills` is the chaos hook: each [`ShardKill`]
-/// makes the named worker die after consuming exactly `after_events` of
-/// its substream — the engine is dropped mid-run, no flush, no farewell
-/// message. The dispatcher observes the loss through the transport,
-/// respawns the worker, recovers it independently through the ordinary
-/// [`crate::recovery::DurableStream::recover`] ladder (checkpoint fallback + journal
-/// replay + compaction), re-feeds the unconsumed tail of its substream,
-/// and merges as usual. Healthy workers are never restarted or re-fed.
-pub fn run_durable_cluster(
-    root: &Path,
-    data: &ScenarioData,
-    events: &[StreamEvent],
-    cfg: &ClusterConfig,
-    policy: &DurabilityPolicy,
-    kills: &[ShardKill],
-) -> Result<DurableClusterRun, RecoveryError> {
-    let started = Instant::now();
-    let shards = cfg.shards.max(1);
-
-    let t_dispatch = Instant::now();
-    let table = linktable::from_scenario(data);
-    let routed = partition_events(&table, events, shards);
-    let events_per_shard: Vec<u64> = routed.iter().map(|r| r.len() as u64).collect();
-    let per_shard_links = links_per_shard(&table, shards);
-    let dispatch_wall = t_dispatch.elapsed();
-
-    let scenario = ScenarioSpec::Attached;
-    let specs: Vec<WorkerSpec> = (0..shards)
-        .map(|shard| {
-            let abort = kills
-                .iter()
-                .find(|k| k.shard == shard)
-                .map(|k| k.after_events);
-            durable_spec(root, shard, shards, cfg, policy, &scenario, false, abort)
-        })
-        .collect();
-
-    let t_shards = Instant::now();
-    let driven = std::thread::scope(|scope| {
-        let mut transport = InProcessTransport::start(scope, data, specs);
-        let result = drive_durable(&mut transport, &routed, cfg.chunk, &[], &|shard| {
-            durable_spec(root, shard, shards, cfg, policy, &scenario, true, None)
-        });
-        (result, transport.counters())
-    });
-    let (outputs, shard_reports, recoveries) = driven.0.map_err(transport_to_recovery_error)?;
-    let shard_wall = t_shards.elapsed();
-
-    let (durability, shard_restores) = fold_durability(&shard_reports);
-    let t_merge = Instant::now();
-    let output = merge_outputs(outputs);
-    let merge_wall = t_merge.elapsed();
-
-    let recovery_events = recoveries.len() as u64;
-    Ok(DurableClusterRun {
-        result: assemble_result(
-            output,
-            shard_reports,
-            events_per_shard,
-            per_shard_links,
-            ClusterWalls {
-                dispatch: dispatch_wall,
-                shard_ingest: shard_wall,
-                merge: merge_wall,
-                total: started.elapsed(),
-            },
-            recovery_events,
-            Some(durability),
-            Some(driven.1),
-        ),
-        recoveries,
-        shard_restores,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Live resharding
-// ---------------------------------------------------------------------------
-
-/// The migration ledger of one live reshard.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ReshardReport {
-    /// Shard count before the grow.
-    pub from_shards: u32,
-    /// Shard count after the grow (`from_shards + 1`).
-    pub to_shards: u32,
-    /// The event-stream position the reshard happened at.
-    pub split_at: usize,
-    /// Exactly the links jump-hash reassigned — every one maps to the
-    /// new shard, pinned by `tests/cluster_reshard.rs` against an
-    /// independent recomputation.
-    pub moved_links: Vec<LinkIx>,
-    /// Live lanes actually shipped (moved links whose lane had opened;
-    /// the rest are state-free and start fresh on the new worker).
-    pub lanes_moved: u64,
-    /// Wall-clock cost of the pause: grow + export + ship + import.
-    pub migration_micros: u64,
-}
-
-/// What [`run_reshard_cluster`] hands back: the merged result (still
-/// byte-identical to batch and to a from-scratch N+1 run) plus the
-/// migration ledger.
-pub struct ReshardRun {
-    /// The merged cluster result at `to_shards` workers.
-    pub result: ClusterResult,
-    /// What moved, and what it cost.
-    pub reshard: ReshardReport,
-}
-
-#[allow(clippy::too_many_arguments)]
-fn assemble_reshard(
-    outputs: Vec<StreamOutput>,
-    shard_reports: Vec<PipelineReport>,
-    events_per_shard: Vec<u64>,
-    table: &LinkTable,
-    after_shards: u32,
-    walls: ClusterWalls,
-    counters: TransportCounters,
-    reshard: ReshardReport,
-) -> ReshardRun {
-    let t_merge = Instant::now();
-    let output = merge_outputs(outputs);
-    let merge_wall = t_merge.elapsed();
-    let walls = ClusterWalls {
-        merge: merge_wall,
-        ..walls
-    };
-    ReshardRun {
-        result: assemble_result(
-            output,
-            shard_reports,
-            events_per_shard,
-            links_per_shard(table, after_shards),
-            walls,
-            0,
-            None,
-            Some(counters),
-        ),
-        reshard,
-    }
-}
-
-/// Per-worker event totals for a reshard run: pre-split counts at N
-/// routing plus post-split counts at N+1 routing.
-fn reshard_event_counts(
-    pre: &[VecDeque<Vec<StreamEvent>>],
-    post: &[VecDeque<Vec<StreamEvent>>],
-) -> Vec<u64> {
-    let mut counts = batch_counts(post);
-    for (w, c) in batch_counts(pre).into_iter().enumerate() {
-        counts[w] += c;
-    }
-    counts
-}
-
-/// Grow a live in-process cluster from `cfg.shards` to `cfg.shards + 1`
-/// workers at event boundary `split_at` (clamped to the stream length):
-/// the first `split_at` events are dispatched at N-shard routing, the
-/// cluster pauses at the boundary, exactly the lanes jump-hash
-/// reassigns migrate to the new worker as serialized snapshots, and the
-/// rest of the stream is dispatched at (N+1)-shard routing. The merged
-/// output is byte-identical to a from-scratch N+1 run — and therefore
-/// to the single-process batch answer (`tests/cluster_reshard.rs`).
-pub fn run_reshard_cluster(
-    data: &ScenarioData,
-    events: &[StreamEvent],
-    cfg: &ClusterConfig,
-    split_at: usize,
-) -> Result<ReshardRun, AnalysisError> {
-    let started = Instant::now();
-    analysis::validate_inputs(data, &cfg.analysis)?;
-    let shards = cfg.shards.max(1);
-    let split = split_at.min(events.len());
-
-    let t_dispatch = Instant::now();
-    let table = linktable::from_scenario(data);
-    let pre = partition_batches(&table, &events[..split], shards, cfg.chunk);
-    let post = partition_batches(&table, &events[split..], shards + 1, cfg.chunk);
-    let events_per_shard = reshard_event_counts(&pre, &post);
-    let dispatch_wall = t_dispatch.elapsed();
-
-    let t_shards = Instant::now();
-    let specs = fresh_specs(shards, cfg, &ScenarioSpec::Attached);
-    let grow_spec = WorkerSpec::new(
-        shards,
-        shards + 1,
-        cfg.analysis.clone(),
-        ScenarioSpec::Attached,
-    );
-    let driven = std::thread::scope(|scope| {
-        let mut transport = InProcessTransport::start(scope, data, specs);
-        let result = drive_reshard(&mut transport, &table, pre, post, grow_spec);
-        (result, transport.counters())
-    });
-    let (outputs, shard_reports, moved_links, lanes_moved, migration_micros) = driven
-        .0
-        .unwrap_or_else(|e| panic!("in-process shard transport failed: {e}"));
-    let shard_wall = t_shards.elapsed();
-
-    Ok(assemble_reshard(
-        outputs,
-        shard_reports,
-        events_per_shard,
-        &table,
-        shards + 1,
-        ClusterWalls {
-            dispatch: dispatch_wall,
-            shard_ingest: shard_wall,
-            merge: std::time::Duration::ZERO,
-            total: started.elapsed(),
-        },
-        driven.1,
-        ReshardReport {
-            from_shards: shards,
-            to_shards: shards + 1,
-            split_at: split,
-            moved_links,
-            lanes_moved,
-            migration_micros,
-        },
-    ))
-}
-
-// ---------------------------------------------------------------------------
-// Subprocess entry points
-// ---------------------------------------------------------------------------
-
-/// How to run cluster workers as `faultline-shard-worker` subprocesses.
-#[derive(Debug, Clone)]
-pub struct SubprocessOptions {
-    /// The worker binary (see [`crate::transport::locate_worker_bin`]).
-    pub worker_bin: PathBuf,
-    /// How each worker materializes its own copy of the scenario —
-    /// must describe the same data the dispatcher routes with
-    /// ([`ScenarioSpec::Params`] or [`ScenarioSpec::Inline`]).
-    pub scenario: ScenarioSpec,
-}
-
-/// [`run_cluster`], but every worker is a `faultline-shard-worker`
-/// subprocess speaking hashed frames over stdio. The merged output is
-/// byte-identical to the in-process cluster and to batch
-/// (`tests/cluster_process.rs`). Worker death is an error here — the
-/// non-durable cluster has no state to recover.
-pub fn run_cluster_subprocess(
-    data: &ScenarioData,
-    events: &[StreamEvent],
-    cfg: &ClusterConfig,
-    opts: &SubprocessOptions,
 ) -> Result<ClusterResult, TransportError> {
     let started = Instant::now();
+    // Validate configuration and input ordering once, before any worker
+    // starts; workers then construct engines infallibly with the same
+    // inputs.
     analysis::validate_inputs(data, &cfg.analysis)?;
     let shards = cfg.shards.max(1);
+    let scenario = match &cfg.workers {
+        Workers::InProcess => ScenarioSpec::Attached,
+        Workers::Subprocess(opts) => opts.scenario.clone(),
+    };
 
+    // The dispatch stage covers the routing side inputs: the link table,
+    // the per-shard link assignment and the mode's up-front partition. A
+    // plain run fuses per-event route+send into the feed inside
+    // `drive_stream_feed`, so that work lands in the shard_ingest wall it
+    // actually overlaps with.
     let t_dispatch = Instant::now();
     let table = linktable::from_scenario(data);
-    let per_shard_links = links_per_shard(&table, shards);
-    let dispatch_wall = t_dispatch.elapsed();
-
-    let t_shards = Instant::now();
-    let specs = fresh_specs(shards, cfg, &opts.scenario);
-    let mut transport = SubprocessTransport::start(&opts.worker_bin, &specs)?;
-    let (outputs, shard_reports, events_per_shard) =
-        drive_stream_feed(&mut transport, &table, events, cfg.chunk)?;
-    let counters = transport.counters();
-    drop(transport);
-    let shard_wall = t_shards.elapsed();
-
-    let t_merge = Instant::now();
-    let output = merge_outputs(outputs);
-    let merge_wall = t_merge.elapsed();
-
-    Ok(assemble_result(
-        output,
-        shard_reports,
-        events_per_shard,
-        per_shard_links,
-        ClusterWalls {
-            dispatch: dispatch_wall,
-            shard_ingest: shard_wall,
-            merge: merge_wall,
-            total: started.elapsed(),
-        },
-        0,
-        None,
-        Some(counters),
-    ))
-}
-
-/// [`run_durable_cluster`] over subprocess workers. `kills` are the
-/// deterministic in-worker aborts ([`ShardKill`] semantics identical to
-/// the in-process runtime); `hard_kills` make the dispatcher SIGKILL
-/// the named worker's process at the first send boundary at or past
-/// `after_events` — the worker gets no chance to flush buffers or say
-/// goodbye, and the supervisor recovers it purely from its `shard-{i}/`
-/// directory.
-#[allow(clippy::too_many_arguments)]
-pub fn run_durable_cluster_subprocess(
-    root: &Path,
-    data: &ScenarioData,
-    events: &[StreamEvent],
-    cfg: &ClusterConfig,
-    policy: &DurabilityPolicy,
-    opts: &SubprocessOptions,
-    kills: &[ShardKill],
-    hard_kills: &[ShardKill],
-) -> Result<DurableClusterRun, RecoveryError> {
-    let started = Instant::now();
-    let shards = cfg.shards.max(1);
-
-    let t_dispatch = Instant::now();
-    let table = linktable::from_scenario(data);
-    let routed = partition_events(&table, events, shards);
-    let events_per_shard: Vec<u64> = routed.iter().map(|r| r.len() as u64).collect();
-    let per_shard_links = links_per_shard(&table, shards);
-    let dispatch_wall = t_dispatch.elapsed();
-
-    let specs: Vec<WorkerSpec> = (0..shards)
-        .map(|shard| {
-            let abort = kills
-                .iter()
-                .find(|k| k.shard == shard)
-                .map(|k| k.after_events);
-            durable_spec(
-                root,
-                shard,
-                shards,
-                cfg,
-                policy,
-                &opts.scenario,
-                false,
-                abort,
-            )
-        })
-        .collect();
-
-    let t_shards = Instant::now();
-    let mut transport = SubprocessTransport::start(&opts.worker_bin, &specs)
-        .map_err(transport_to_recovery_error)?;
-    let driven = drive_durable(&mut transport, &routed, cfg.chunk, hard_kills, &|shard| {
-        durable_spec(root, shard, shards, cfg, policy, &opts.scenario, true, None)
-    });
-    let counters = transport.counters();
-    drop(transport);
-    let (outputs, shard_reports, recoveries) = driven.map_err(transport_to_recovery_error)?;
-    let shard_wall = t_shards.elapsed();
-
-    let (durability, shard_restores) = fold_durability(&shard_reports);
-    let t_merge = Instant::now();
-    let output = merge_outputs(outputs);
-    let merge_wall = t_merge.elapsed();
-
-    let recovery_events = recoveries.len() as u64;
-    Ok(DurableClusterRun {
-        result: assemble_result(
-            output,
-            shard_reports,
-            events_per_shard,
-            per_shard_links,
-            ClusterWalls {
-                dispatch: dispatch_wall,
-                shard_ingest: shard_wall,
-                merge: merge_wall,
-                total: started.elapsed(),
+    let (feed, final_shards) = match &cfg.mode {
+        ClusterMode::Plain => (Feed::Stream, shards),
+        ClusterMode::Durable { hard_kills, .. } => (
+            Feed::Durable {
+                routed: partition_events(&table, events, shards),
+                hard_kills,
             },
-            recovery_events,
-            Some(durability),
-            Some(counters),
+            shards,
         ),
-        recoveries,
-        shard_restores,
-    })
-}
-
-/// [`run_reshard_cluster`] over subprocess workers: the migrated lanes
-/// genuinely cross process boundaries as hashed frames.
-pub fn run_reshard_cluster_subprocess(
-    data: &ScenarioData,
-    events: &[StreamEvent],
-    cfg: &ClusterConfig,
-    split_at: usize,
-    opts: &SubprocessOptions,
-) -> Result<ReshardRun, TransportError> {
-    let started = Instant::now();
-    analysis::validate_inputs(data, &cfg.analysis)?;
-    let shards = cfg.shards.max(1);
-    let split = split_at.min(events.len());
-
-    let t_dispatch = Instant::now();
-    let table = linktable::from_scenario(data);
-    let pre = partition_batches(&table, &events[..split], shards, cfg.chunk);
-    let post = partition_batches(&table, &events[split..], shards + 1, cfg.chunk);
-    let events_per_shard = reshard_event_counts(&pre, &post);
+        ClusterMode::Reshard { split_at } => {
+            let split = (*split_at).min(events.len());
+            let pre = partition_batches(&table, &events[..split], shards, cfg.chunk);
+            let post = partition_batches(&table, &events[split..], shards + 1, cfg.chunk);
+            (Feed::Reshard { split, pre, post }, shards + 1)
+        }
+    };
+    let per_shard_links = links_per_shard(&table, final_shards);
     let dispatch_wall = t_dispatch.elapsed();
 
     let t_shards = Instant::now();
-    let specs = fresh_specs(shards, cfg, &opts.scenario);
-    let grow_spec = WorkerSpec::new(
-        shards,
-        shards + 1,
-        cfg.analysis.clone(),
-        opts.scenario.clone(),
-    );
-    let mut transport = SubprocessTransport::start(&opts.worker_bin, &specs)?;
-    let (outputs, shard_reports, moved_links, lanes_moved, migration_micros) =
-        drive_reshard(&mut transport, &table, pre, post, grow_spec)?;
-    let counters = transport.counters();
-    drop(transport);
-    let shard_wall = t_shards.elapsed();
-
-    Ok(assemble_reshard(
-        outputs,
-        shard_reports,
-        events_per_shard,
-        &table,
-        shards + 1,
-        ClusterWalls {
-            dispatch: dispatch_wall,
-            shard_ingest: shard_wall,
-            merge: std::time::Duration::ZERO,
-            total: started.elapsed(),
-        },
+    let specs: Vec<WorkerSpec> = (0..shards)
+        .map(|shard| worker_spec(cfg, &scenario, shard, shards, false))
+        .collect();
+    let (driven, counters) = match &cfg.workers {
+        // A worker panic re-raises at scope exit.
+        Workers::InProcess => std::thread::scope(|scope| {
+            let mut transport = InProcessTransport::start(scope, data, specs);
+            let driven = drive(&mut transport, &table, events, feed, cfg, &scenario);
+            (driven, transport.counters())
+        }),
+        // The transport reaps its worker processes when it drops at the
+        // end of this arm, inside the shard wall.
+        Workers::Subprocess(opts) => {
+            let mut transport = SubprocessTransport::start(&opts.worker_bin, &specs)?;
+            let driven = drive(&mut transport, &table, events, feed, cfg, &scenario);
+            (driven, transport.counters())
+        }
+    };
+    let driven = driven?;
+    Ok(assemble_result(
+        driven,
+        per_shard_links,
+        dispatch_wall,
+        t_shards.elapsed(),
+        started,
         counters,
-        ReshardReport {
-            from_shards: shards,
-            to_shards: shards + 1,
-            split_at: split,
-            moved_links,
-            lanes_moved,
-            migration_micros,
-        },
     ))
 }
 

@@ -194,7 +194,7 @@ mod tests {
 
     #[test]
     fn pipeline_report_writers() {
-        let mut report = PipelineReport::new(2);
+        let mut report = PipelineReport::default();
         report.record_stage(
             "resolve_syslog",
             100,
@@ -218,7 +218,7 @@ mod tests {
         let back: PipelineReport = serde_json::from_str(&text).unwrap();
         assert_eq!(back.stages.len(), 1);
         assert_eq!(back.stages[0].wall_micros, 1234);
-        assert_eq!(back.threads, 2);
+        assert_eq!(back.total_micros, 1234);
     }
 
     #[test]

@@ -28,9 +28,9 @@
 //! ```
 //!
 //! Both drivers produce the same [`StreamOutput`]; `tests/stream_equivalence.rs`
-//! asserts the JSON is byte-identical across chunkings, strategies, and
-//! thread counts. The per-stage equivalence argument is narrated in the
-//! [`crate::streaming`] module docs.
+//! asserts the JSON is byte-identical across chunkings, strategies,
+//! quarantine horizons and chaos presets. The per-stage equivalence
+//! argument is narrated in the [`crate::streaming`] module docs.
 
 use crate::analysis::AnalysisConfig;
 use crate::arena::EventArena;
@@ -38,7 +38,6 @@ use crate::intern::FastMap;
 use crate::linktable::{self, LinkIx, LinkTable};
 use crate::matching::{match_failures, FailureMatching};
 use crate::observe::PipelineCounters;
-use crate::par;
 use crate::reconstruct::{AmbiguityStrategy, AmbiguousPeriod, Failure, Reconstruction};
 use crate::sanitize::SanitizeReport;
 use crate::transitions::{
@@ -55,7 +54,6 @@ use faultline_topology::osi::SystemId;
 use faultline_topology::time::{Duration, Timestamp};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::sync::Mutex;
 
 /// Everything the pipeline derives from the observables — the complete
 /// comparable surface of a run, produced identically by both drivers.
@@ -1222,14 +1220,12 @@ impl<'a> Kernel<'a> {
     }
 
     /// Apply a micro-batch of classified events from the driver's
-    /// [`EventArena`], sharded by link, fanning the per-link state
-    /// machines across threads via [`crate::par`]. The arena's grouped
-    /// iteration is key-ordered and push-stable, so every lane sees its
-    /// events in feed order and closes segments against the same
-    /// watermark — the result is identical for every thread count. The
-    /// arena is borrowed for grouping only; the caller `clear()`s it for
-    /// the next batch, reusing the allocation. Returns the number of
-    /// lanes touched.
+    /// [`EventArena`], sharded by link. The arena's grouped iteration is
+    /// key-ordered and push-stable, so every lane sees its events in feed
+    /// order and closes segments against the batch's watermark. The arena
+    /// is borrowed for grouping only; the caller `clear()`s it for the
+    /// next batch, reusing the allocation. Returns the number of lanes
+    /// touched.
     pub(crate) fn apply_grouped(
         &mut self,
         grouped: &mut EventArena<LinkIx, LaneEvent>,
@@ -1238,47 +1234,28 @@ impl<'a> Kernel<'a> {
         if grouped.is_empty() {
             return 0;
         }
-        // A lane plus its borrowed run of `(link, index)` keys, handed
-        // to one worker; the Mutex moves the owned lane through
-        // `par_map`'s `Fn(&T)` surface. Events themselves stay put in
-        // the arena's value array — workers read them by index.
-        type LaneTask<'s> = (LinkIx, &'s [(LinkIx, u32)], Mutex<Option<LinkLane>>);
-        let mut tasks: Vec<LaneTask<'_>> = Vec::new();
+        let ctx = LaneCtx {
+            config: &self.config,
+            offline: &self.data.offline_spans,
+            tickets: &self.data.tickets,
+        };
         let (groups, events) = grouped.group();
+        let mut lanes_touched = 0;
         for (link, run) in groups {
-            let lane = self.lanes.remove(&link).unwrap_or_else(|| {
+            let lane = self.lanes.entry(link).or_insert_with(|| {
                 LinkLane::new(
                     link,
                     self.link_of_ix.get(&link).copied(),
                     self.table.is_resolvable(link),
                 )
             });
-            self.open_items -= lane.open_items();
-            tasks.push((link, run, Mutex::new(Some(lane))));
-        }
-        let ctx = LaneCtx {
-            config: &self.config,
-            offline: &self.data.offline_spans,
-            tickets: &self.data.tickets,
-        };
-        let par_cfg = self.config.parallelism;
-        let processed: Vec<(LinkIx, LinkLane)> =
-            par::par_map(&tasks, &par_cfg, |(link, run, cell)| {
-                let mut lane = cell
-                    .lock()
-                    .expect("lane cell poisoned")
-                    .take()
-                    .expect("each lane task is processed exactly once");
-                for &(_, ix) in run.iter() {
-                    lane.apply(&events[ix as usize], &ctx);
-                }
-                lane.maybe_close_segment(watermark, &ctx);
-                (*link, lane)
-            });
-        let lanes_touched = processed.len();
-        for (link, lane) in processed {
-            self.open_items += lane.open_items();
-            self.lanes.insert(link, lane);
+            let before = lane.open_items();
+            for &(_, ix) in run {
+                lane.apply(&events[ix as usize], &ctx);
+            }
+            lane.maybe_close_segment(watermark, &ctx);
+            self.open_items = self.open_items - before + lane.open_items();
+            lanes_touched += 1;
         }
         self.open_items_hwm = self.open_items_hwm.max(self.open_items);
         lanes_touched

@@ -54,11 +54,11 @@
 //! IS-IS last — with every dropped event accounted for exactly in
 //! [`observe::OverloadCounters`].
 //!
-//! The per-link stages fan out across threads ([`par`], configured via
-//! [`analysis::AnalysisConfig::parallelism`]) with results independent of
-//! thread count, and every run carries per-stage counters and timings
-//! ([`observe::PipelineReport`]). Set `RUST_LOG=faultline_core=debug` to
-//! narrate the pipeline on stderr.
+//! One engine runs its per-link lanes serially; the cluster is the one
+//! parallelism mechanism, running N engines as workers behind
+//! [`cluster::run_cluster`]. Every run carries per-stage counters and
+//! timings ([`observe::PipelineReport`]). Set
+//! `RUST_LOG=faultline_core=debug` to narrate the pipeline on stderr.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -78,7 +78,6 @@ pub mod ks;
 pub mod linktable;
 pub mod matching;
 pub mod observe;
-pub mod par;
 pub mod reconstruct;
 pub mod recovery;
 pub mod sanitize;
@@ -94,10 +93,9 @@ pub use admission::{
 pub use analysis::{Analysis, AnalysisConfig};
 pub use arena::EventArena;
 pub use cluster::{
-    merge_outputs, partition_events, route_event, run_cluster, run_cluster_subprocess,
-    run_durable_cluster, run_durable_cluster_subprocess, run_reshard_cluster,
-    run_reshard_cluster_subprocess, shard_dir, shard_of_key, shard_of_link, ClusterConfig,
-    ClusterResult, DurableClusterRun, ReshardReport, ReshardRun, ShardRecovery, SubprocessOptions,
+    merge_outputs, partition_events, route_event, run_cluster, shard_dir, shard_of_key,
+    shard_of_link, ClusterConfig, ClusterMode, ClusterResult, ReshardReport, ShardRecovery,
+    SubprocessOptions, Workers,
 };
 pub use error::{AnalysisError, FrameError, RecoveryError, TransportError};
 pub use intern::{Sym, SymbolTable};
@@ -106,7 +104,6 @@ pub use observe::{
     DurabilityCounters, OverloadCounters, PipelineCounters, PipelineReport, RobustnessCounters,
     ShardCounters, StreamingCounters, TransportCounters,
 };
-pub use par::ParallelismConfig;
 pub use reconstruct::{AmbiguityStrategy, Failure};
 pub use recovery::{AsyncFaultHook, DurabilityPolicy, DurableStream, RecoveryReport, RetryPolicy};
 pub use streaming::{

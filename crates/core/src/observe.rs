@@ -334,8 +334,6 @@ pub struct TransportCounters {
 /// [`crate::analysis::Analysis`] run.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct PipelineReport {
-    /// Effective worker-thread count the run used.
-    pub threads: usize,
     /// Per-stage accounting, in execution order.
     pub stages: Vec<StageReport>,
     /// Headline counters.
@@ -367,14 +365,6 @@ pub struct PipelineReport {
 }
 
 impl PipelineReport {
-    /// New empty report for a run with `threads` workers.
-    pub fn new(threads: usize) -> Self {
-        PipelineReport {
-            threads,
-            ..PipelineReport::default()
-        }
-    }
-
     /// Record a completed stage; narrates it when tracing is enabled.
     pub fn record_stage(&mut self, stage: &str, items_in: u64, items_out: u64, wall: WallDuration) {
         let wall_micros = wall.as_micros() as u64;
@@ -407,10 +397,9 @@ impl fmt::Display for PipelineReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "pipeline report: {} stages, {:.3} ms total, {} thread(s)",
+            "pipeline report: {} stages, {:.3} ms total",
             self.stages.len(),
-            self.total_millis(),
-            self.threads
+            self.total_millis()
         )?;
         writeln!(
             f,
@@ -574,7 +563,7 @@ mod tests {
     use super::*;
 
     fn sample() -> PipelineReport {
-        let mut r = PipelineReport::new(4);
+        let mut r = PipelineReport::default();
         r.record_stage("resolve_syslog", 1000, 900, WallDuration::from_micros(1500));
         r.record_stage("reconstruct", 900, 120, WallDuration::from_micros(800));
         r.counters.syslog_ingested = 1000;
@@ -597,7 +586,7 @@ mod tests {
 
     #[test]
     fn zero_wall_stage_has_zero_throughput() {
-        let mut r = PipelineReport::new(1);
+        let mut r = PipelineReport::default();
         r.record_stage("instant", 5, 5, WallDuration::ZERO);
         assert_eq!(r.stage("instant").unwrap().throughput(), 0.0);
     }
@@ -608,7 +597,6 @@ mod tests {
         let text = format!("{r}");
         assert!(text.contains("resolve_syslog"));
         assert!(text.contains("reconstruct"));
-        assert!(text.contains("4 thread(s)"));
         assert!(text.contains("120 reconstructed"));
     }
 
@@ -617,7 +605,7 @@ mod tests {
         let r = sample();
         let json = serde_json::to_string(&r).unwrap();
         let back: PipelineReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.threads, 4);
+        assert_eq!(back.total_micros, 2300);
         assert_eq!(back.stages.len(), 2);
         assert_eq!(back.stages[0].wall_micros, 1500);
         assert_eq!(back.counters.syslog_ingested, 1000);

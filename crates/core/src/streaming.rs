@@ -9,9 +9,9 @@
 //! driver over the same `kernel::Kernel` the batch pipeline
 //! uses: feed it [`StreamEvent`]s one at a time
 //! ([`StreamAnalysis::ingest`]) or in micro-batches
-//! ([`StreamAnalysis::ingest_batch`], which fans per-link work across
-//! threads via [`crate::par`]), and call [`StreamAnalysis::flush`] at end
-//! of stream for the final [`StreamOutput`].
+//! ([`StreamAnalysis::ingest_batch`], which groups per-link work by
+//! lane), and call [`StreamAnalysis::flush`] at end of stream for the
+//! final [`StreamOutput`].
 //!
 //! This module owns only what is genuinely streaming-specific: the
 //! watermark, late-event rejection, quarantine admission, micro-batch
@@ -29,7 +29,7 @@
 //! For an in-order event stream covering the same data, the flushed
 //! [`StreamOutput`] is **byte-identical** (as JSON) to the batch driver's
 //! [`crate::analysis::Analysis::run`] output on the same data, for every
-//! chunking of the stream and every thread count.
+//! chunking of the stream.
 //! `tests/stream_equivalence.rs` is the differential harness asserting
 //! this across random seeds, scales, chunkings, quarantine horizons, and
 //! chaos presets. Since both drivers execute the same kernel, the
@@ -72,7 +72,6 @@ use crate::arena::EventArena;
 use crate::error::AnalysisError;
 use crate::kernel::{Kernel, LaneEvent, LinkLane};
 use crate::observe::{self, PipelineReport, StreamingCounters};
-use crate::par;
 use crate::transitions::{IsisMergeStats, ResolvedMessage, SyslogResolveStats};
 use faultline_isis::listener::Transition;
 use faultline_sim::ScenarioData;
@@ -310,7 +309,7 @@ impl StreamDelta {
 }
 
 /// A set of per-link lanes in flight between two engines — the payload
-/// of live resharding ([`crate::cluster::run_reshard_cluster`]). Each
+/// of live resharding ([`crate::cluster::ClusterMode::Reshard`]). Each
 /// lane ships as the same full `LaneDelta` encoding the incremental
 /// checkpoint layer uses, captured by [`StreamAnalysis::export_lanes`]
 /// on the source engine and replayed by
@@ -382,13 +381,7 @@ impl<'a> StreamAnalysis<'a> {
         let started = Instant::now();
         let kernel = Kernel::new(data, config);
         let link_table_wall = started.elapsed();
-        observe::narrate(|| {
-            format!(
-                "stream start: {} links resolvable, {} thread(s)",
-                kernel.table.len(),
-                kernel.config.parallelism.effective_threads()
-            )
-        });
+        observe::narrate(|| format!("stream start: {} links resolvable", kernel.table.len()));
         StreamAnalysis {
             kernel,
             watermark: None,
@@ -649,14 +642,6 @@ impl<'a> StreamAnalysis<'a> {
         Ok(imported)
     }
 
-    /// Override the scheduling half of the configuration. Thread count
-    /// never affects results (`tests/determinism.rs`), so a restored run
-    /// may resume under a different parallelism than the run that wrote
-    /// the checkpoint.
-    pub fn set_parallelism(&mut self, parallelism: par::ParallelismConfig) {
-        self.kernel.config.parallelism = parallelism;
-    }
-
     /// Late-event reject check. An event stamped strictly before the
     /// watermark would hand the per-link state machines out-of-order
     /// history and could regress the watermark that every segment-close
@@ -745,8 +730,8 @@ impl<'a> StreamAnalysis<'a> {
     }
 
     /// Consume a micro-batch: resolution runs serially (to keep the
-    /// counters and emit order deterministic), then the per-link state
-    /// machines fan out across threads, sharded by link. Returns the
+    /// counters and emit order deterministic), then each touched
+    /// per-link state machine consumes its run of the batch. Returns the
     /// per-outcome tally for the batch.
     pub fn ingest_batch(&mut self, events: &[StreamEvent]) -> IngestSummary {
         let t0 = Instant::now();
@@ -825,7 +810,7 @@ impl<'a> StreamAnalysis<'a> {
             events_per_sec,
         };
 
-        let mut report = PipelineReport::new(k.config.parallelism.effective_threads());
+        let mut report = PipelineReport::default();
         report.record_stage(
             "link_table",
             data.topology.links().len() as u64,

@@ -45,7 +45,7 @@
 //! consumes [`ShardMsg::Events`] until [`ShardMsg::Flush`], answering
 //! with [`ShardMsg::Flushed`] and exiting. [`ShardMsg::ExportLanes`] /
 //! [`ShardMsg::LaneMigrate`] implement live resharding (see
-//! [`crate::cluster::run_reshard_cluster`]); any unrecoverable worker
+//! [`crate::cluster::ClusterMode::Reshard`]); any unrecoverable worker
 //! condition travels as [`ShardMsg::Fatal`].
 
 use crate::analysis::AnalysisConfig;
@@ -462,7 +462,7 @@ fn run_worker(data: &ScenarioData, spec: WorkerSpec, port: &mut dyn WorkerPort) 
     let abort_at = spec.abort_after_events;
     let mut ready = ReadyMsg::default();
     // The dispatcher validated configuration and input ordering once
-    // before spawning anyone (`run_cluster*` call `validate_inputs`
+    // before spawning anyone (`run_cluster` calls `validate_inputs`
     // first), so workers construct infallibly — re-validating here
     // would rescan the whole archive once per worker.
     let mut engine = match &spec.durable {
@@ -602,11 +602,11 @@ fn run_worker(data: &ScenarioData, spec: WorkerSpec, port: &mut dyn WorkerPort) 
 pub struct InProcessTransport<'scope, 'env> {
     scope: &'scope thread::Scope<'scope, 'env>,
     data: &'env ScenarioData,
-    ports: Vec<InProcPort>,
+    ports: Vec<InProcPort<'scope>>,
     counters: TransportCounters,
 }
 
-struct InProcPort {
+struct InProcPort<'scope> {
     /// `None` after [`ShardTransport::kill`]: dropping the sender is the
     /// in-process stand-in for SIGKILL.
     tx: Option<SyncSender<ShardMsg>>,
@@ -614,13 +614,15 @@ struct InProcPort {
     /// Spent event batches coming home to the thread that cloned them;
     /// drained (and thus freed arena-locally) on every send.
     spent_rx: Receiver<Vec<StreamEvent>>,
+    /// The worker thread; joined before a respawn replaces it.
+    worker: Option<thread::ScopedJoinHandle<'scope, ()>>,
 }
 
 fn spawn_inproc<'scope, 'env>(
     scope: &'scope thread::Scope<'scope, 'env>,
     data: &'env ScenarioData,
     spec: WorkerSpec,
-) -> InProcPort {
+) -> InProcPort<'scope> {
     let (cmd_tx, cmd_rx) = sync_channel(INPROC_CHANNEL_DEPTH);
     // Unbounded on the answer side so a worker can always report
     // (Fatal, LaneMigrate) without deadlocking against a dispatcher
@@ -629,7 +631,7 @@ fn spawn_inproc<'scope, 'env>(
     // let in.
     let (rsp_tx, rsp_rx) = channel();
     let (spent_tx, spent_rx) = channel();
-    scope.spawn(move || {
+    let worker = scope.spawn(move || {
         let mut port = ChannelPort {
             rx: cmd_rx,
             tx: rsp_tx,
@@ -641,6 +643,7 @@ fn spawn_inproc<'scope, 'env>(
         tx: Some(cmd_tx),
         rx: rsp_rx,
         spent_rx,
+        worker: Some(worker),
     }
 }
 
@@ -670,7 +673,7 @@ impl<'scope, 'env> InProcessTransport<'scope, 'env> {
         }
     }
 
-    fn port(&mut self, worker: usize) -> Result<&mut InProcPort, TransportError> {
+    fn port(&mut self, worker: usize) -> Result<&mut InProcPort<'scope>, TransportError> {
         let n = self.ports.len();
         self.ports.get_mut(worker).ok_or(TransportError::Protocol {
             worker,
@@ -733,7 +736,14 @@ impl ShardTransport for InProcessTransport<'_, '_> {
     }
 
     fn respawn(&mut self, worker: usize, spec: WorkerSpec) -> Result<(), TransportError> {
-        self.port(worker)?;
+        let old = self.port(worker)?;
+        // A killed thread drains the commands already queued before it
+        // sees the hang-up; wait for it to exit so the replacement never
+        // shares its durable state with a live predecessor.
+        old.tx = None;
+        if let Some(Err(panic)) = old.worker.take().map(|h| h.join()) {
+            std::panic::resume_unwind(panic);
+        }
         self.ports[worker] = spawn_inproc(self.scope, self.data, spec);
         self.counters.workers_spawned += 1;
         self.counters.worker_restarts += 1;

@@ -26,16 +26,35 @@ non_kernel_sources() {
 #    - StreamOutput::of_batch   batch→stream output bridge, deleted when
 #                               batch started producing StreamOutput itself
 #    - *_par                    per-stage parallel twins, replaced by the
-#                               single lane fan-out in Kernel::apply_grouped
+#                               serial lane loop in Kernel::apply_grouped
 #    - Lane::sanitize_isis etc. streaming.rs's private copy of the lane
 #                               machinery, moved wholesale into LinkLane
+#    - par_map, ParallelismConfig
+#                               the per-batch scoped-thread fan-out and its
+#                               knob; the cluster is the one parallelism
+#                               mechanism
+#    - run_durable_cluster*, run_reshard_cluster*, run_cluster_subprocess,
+#      DurableClusterRun, ReshardRun
+#                               per-mode and per-transport copies of the
+#                               cluster entry point; run_cluster takes the
+#                               mode and transport in ClusterConfig
 retired=(
     'fn of_batch'
     'fn isis_link_transitions_par'
     'fn dedup_syslog_par'
     'fn reconstruct_par'
     'fn match_failures_par'
+    'fn detect_episodes_par'
+    'fn classify_ambiguous_par'
+    'fn classify_false_positives_par'
     'fn sanitize_isis'
+    'fn par_map'
+    'struct ParallelismConfig'
+    'fn run_durable_cluster'
+    'fn run_reshard_cluster'
+    'fn run_cluster_subprocess'
+    'struct DurableClusterRun'
+    'struct ReshardRun'
 )
 for sym in "${retired[@]}"; do
     if hits=$(non_kernel_sources | xargs grep -n -F "$sym" 2>/dev/null) && [ -n "$hits" ]; then

@@ -11,8 +11,12 @@
 //! tables, so a cluster-side drift cannot hide behind a simultaneous
 //! (and wrong) "re-bless both sides" change.
 
-use faultline_core::cluster::{run_cluster, ClusterConfig};
-use faultline_core::{scenario_event_stream, Analysis, AnalysisConfig};
+use faultline_core::cluster::{
+    run_cluster, ClusterConfig, ClusterMode, SubprocessOptions, Workers,
+};
+use faultline_core::recovery::DurabilityPolicy;
+use faultline_core::transport::ScenarioSpec;
+use faultline_core::{scenario_event_stream, Analysis, AnalysisConfig, TransportError};
 use faultline_sim::scenario::{run, ScenarioParams};
 use faultline_sim::{ChaosConfig, ScenarioData};
 use serde_json::Value;
@@ -28,9 +32,9 @@ fn batch_json(data: &ScenarioData, config: &AnalysisConfig) -> String {
 fn cluster_json(data: &ScenarioData, config: &AnalysisConfig, shards: u32, chunk: usize) -> String {
     let events = scenario_event_stream(data);
     let cfg = ClusterConfig {
-        shards,
         analysis: config.clone(),
         chunk,
+        ..ClusterConfig::new(shards)
     };
     let result = run_cluster(data, &events, &cfg).expect("valid cluster run");
     serde_json::to_string(&result.output).unwrap()
@@ -190,21 +194,55 @@ fn cluster_counters_match_golden_tables_without_reblessing() {
     }
 }
 
-/// Invalid inputs are rejected up front, before any shard thread spawns:
-/// the cluster refuses exactly what the single-process drivers refuse.
+/// Invalid inputs are rejected up front, before any shard worker
+/// starts, as a typed [`TransportError::Analysis`] in every mode and on
+/// every transport: the cluster refuses exactly what
+/// `Analysis::try_run` refuses.
 #[test]
 fn cluster_validates_like_the_single_process_drivers() {
-    let data = run(&ScenarioParams::tiny(42));
+    let params = ScenarioParams::tiny(42);
+    let data = run(&params);
     let events = scenario_event_stream(&data);
-    let cfg = ClusterConfig {
-        shards: 4,
+    let invalid = ClusterConfig {
         analysis: AnalysisConfig {
             match_window: faultline_topology::time::Duration::ZERO,
             ..AnalysisConfig::default()
         },
         chunk: 64,
+        ..ClusterConfig::new(4)
     };
-    assert!(run_cluster(&data, &events, &cfg).is_err());
+    let root = std::env::temp_dir().join(format!("faultline-validate-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let durable = ClusterMode::Durable {
+        root: root.clone(),
+        policy: DurabilityPolicy::default(),
+        kills: Vec::new(),
+        hard_kills: Vec::new(),
+    };
+    let subprocess = Workers::Subprocess(SubprocessOptions {
+        worker_bin: PathBuf::from(env!("CARGO_BIN_EXE_faultline-shard-worker")),
+        scenario: ScenarioSpec::Params(Box::new(params.clone())),
+    });
+    for (label, workers, mode) in [
+        ("in-process plain", Workers::InProcess, ClusterMode::Plain),
+        ("in-process durable", Workers::InProcess, durable.clone()),
+        ("subprocess durable", subprocess, durable),
+    ] {
+        let cfg = ClusterConfig {
+            workers,
+            mode,
+            ..invalid.clone()
+        };
+        match run_cluster(&data, &events, &cfg) {
+            Err(TransportError::Analysis(_)) => {}
+            Err(e) => panic!("{label}: expected a typed config error, got: {e}"),
+            Ok(_) => panic!("{label}: an invalid config must be refused"),
+        }
+        assert!(
+            !root.exists(),
+            "{label}: no worker may start, so no shard directory may exist"
+        );
+    }
     // Zero shards is clamped, not rejected — a degenerate cluster is the
     // single process.
     let degenerate = run_cluster(&data, &events, &ClusterConfig::new(0)).unwrap();

@@ -10,7 +10,7 @@
 //! never rebuilt.
 
 use faultline_core::cluster::{
-    partition_events, run_cluster, run_durable_cluster, shard_dir, ClusterConfig,
+    partition_events, run_cluster, shard_dir, ClusterConfig, ClusterMode,
 };
 use faultline_core::linktable::from_scenario;
 use faultline_core::recovery::DurabilityPolicy;
@@ -53,6 +53,20 @@ fn tight_policy() -> DurabilityPolicy {
     }
 }
 
+/// `cfg` made durable under `root` with [`tight_policy`] and the given
+/// in-worker aborts.
+fn durable(cfg: &ClusterConfig, root: &Path, kills: &[ShardKill]) -> ClusterConfig {
+    ClusterConfig {
+        mode: ClusterMode::Durable {
+            root: root.to_path_buf(),
+            policy: tight_policy(),
+            kills: kills.to_vec(),
+            hard_kills: Vec::new(),
+        },
+        ..cfg.clone()
+    }
+}
+
 /// Kill one seeded shard at several seeded event boundaries; after
 /// supervisor recovery the merged output is byte-identical to batch, the
 /// recovery ledger names exactly the killed shard, and every healthy
@@ -75,39 +89,29 @@ fn killed_shard_recovers_byte_identical() {
         let kill = shard_kill_seeded(kill_seed, &shard_events)
             .expect("tiny scenario shards always hold >1 events");
         let tmp = TempDir::new(&format!("kill-{kill_seed}"));
-        let durable =
-            run_durable_cluster(tmp.path(), &data, &events, &cfg, &tight_policy(), &[kill])
-                .expect("durable cluster run");
+        let run = run_cluster(&data, &events, &durable(&cfg, tmp.path(), &[kill]))
+            .expect("durable cluster run");
         assert_eq!(
             expected,
-            serde_json::to_string(&durable.result.output).unwrap(),
+            serde_json::to_string(&run.output).unwrap(),
             "merged output diverged after killing shard {} at {}",
             kill.shard,
             kill.after_events
         );
-        assert_eq!(durable.recoveries.len(), 1, "exactly one recovery");
-        assert_eq!(durable.recoveries[0].shard, kill.shard);
+        assert_eq!(run.recoveries.len(), 1, "exactly one recovery");
+        assert_eq!(run.recoveries[0].shard, kill.shard);
         assert_eq!(
-            durable.recoveries[0].report.resumed_at_seq, kill.after_events,
+            run.recoveries[0].report.resumed_at_seq, kill.after_events,
             "journal-before-ingest: an in-process kill loses nothing"
         );
-        for (i, &restores) in durable.shard_restores.iter().enumerate() {
+        for (i, &restores) in run.shard_restores.iter().enumerate() {
             if i as u32 == kill.shard {
                 assert_eq!(restores, 1, "killed shard restores exactly once");
             } else {
                 assert_eq!(restores, 0, "healthy shard {i} must never restart");
             }
         }
-        assert_eq!(
-            durable
-                .result
-                .report
-                .cluster
-                .as_ref()
-                .unwrap()
-                .recovery_events,
-            1
-        );
+        assert_eq!(run.report.cluster.as_ref().unwrap().recovery_events, 1);
     }
 }
 
@@ -140,25 +144,67 @@ fn arbitrary_kill_boundaries_under_chaos_stay_byte_identical() {
             shard: victim,
             after_events: point,
         };
-        let durable =
-            run_durable_cluster(tmp.path(), &data, &events, &cfg, &tight_policy(), &[kill])
-                .expect("durable cluster run");
+        let run = run_cluster(&data, &events, &durable(&cfg, tmp.path(), &[kill]))
+            .expect("durable cluster run");
         assert_eq!(
             expected,
-            serde_json::to_string(&durable.result.output).unwrap(),
+            serde_json::to_string(&run.output).unwrap(),
             "kill at boundary {point} diverged"
         );
-        assert_eq!(durable.recoveries.len(), 1);
+        assert_eq!(run.recoveries.len(), 1);
         assert!(
-            durable
-                .shard_restores
+            run.shard_restores
                 .iter()
                 .enumerate()
                 .all(|(i, &r)| (i as u32 == victim) == (r == 1)),
             "only the victim restores: {:?}",
-            durable.shard_restores
+            run.shard_restores
         );
     }
+}
+
+/// A dispatcher-side kill on the in-process transport: the dispatcher
+/// hangs up on the busiest worker mid-feed, the supervisor waits for
+/// that thread to exit, recovers the shard from its own directory, and
+/// the merged answer still matches batch.
+#[test]
+fn hard_killed_in_process_shard_recovers_byte_identical() {
+    let data = run(&ScenarioParams::tiny(42));
+    let events = scenario_event_stream(&data);
+    let expected = {
+        let batch = Analysis::run(&data, AnalysisConfig::default());
+        serde_json::to_string(&batch.output).unwrap()
+    };
+    let cfg = ClusterConfig {
+        chunk: 16,
+        ..ClusterConfig::new(3)
+    };
+    let table = from_scenario(&data);
+    let shard_events: Vec<u64> = partition_events(&table, &events, cfg.shards)
+        .iter()
+        .map(|s| s.len() as u64)
+        .collect();
+    let victim = (0..cfg.shards)
+        .max_by_key(|&i| shard_events[i as usize])
+        .unwrap();
+    let hard_kill = ShardKill {
+        shard: victim,
+        after_events: shard_events[victim as usize] / 2,
+    };
+    let tmp = TempDir::new("hard-kill");
+    let mut cfg = durable(&cfg, tmp.path(), &[]);
+    if let ClusterMode::Durable { hard_kills, .. } = &mut cfg.mode {
+        hard_kills.push(hard_kill);
+    }
+    let run = run_cluster(&data, &events, &cfg).expect("durable cluster run");
+    assert_eq!(expected, serde_json::to_string(&run.output).unwrap());
+    assert_eq!(run.recoveries.len(), 1);
+    assert_eq!(run.recoveries[0].shard, victim);
+    assert!(run.recoveries[0].report.resumed_at_seq <= hard_kill.after_events);
+    assert_eq!(run.shard_restores[victim as usize], 1);
+    let t = run.report.transport.expect("transport ledger");
+    assert_eq!(t.workers_killed, 1);
+    assert_eq!(t.worker_restarts, 1);
 }
 
 /// Two shards killed in the same run: the supervisor recovers each from
@@ -187,14 +233,11 @@ fn two_simultaneous_shard_deaths_recover_independently() {
         })
         .collect();
     let tmp = TempDir::new("double-kill");
-    let durable = run_durable_cluster(tmp.path(), &data, &events, &cfg, &tight_policy(), &kills)
+    let run = run_cluster(&data, &events, &durable(&cfg, tmp.path(), &kills))
         .expect("durable cluster run");
-    assert_eq!(
-        expected,
-        serde_json::to_string(&durable.result.output).unwrap()
-    );
-    assert_eq!(durable.recoveries.len(), 2);
-    let restored: u64 = durable.shard_restores.iter().sum();
+    assert_eq!(expected, serde_json::to_string(&run.output).unwrap());
+    assert_eq!(run.recoveries.len(), 2);
+    let restored: u64 = run.shard_restores.iter().sum();
     assert_eq!(restored, 2, "exactly the two victims restore");
 }
 
@@ -240,21 +283,20 @@ fn killed_shard_recovers_through_delta_chain() {
         shard_events[victim as usize]
     );
     let tmp = TempDir::new("delta-chain-kill");
-    let durable = run_durable_cluster(tmp.path(), &data, &events, &cfg, &tight_policy(), &[kill])
+    let run = run_cluster(&data, &events, &durable(&cfg, tmp.path(), &[kill]))
         .expect("durable cluster run");
     assert_eq!(
         expected,
-        serde_json::to_string(&durable.result.output).unwrap(),
+        serde_json::to_string(&run.output).unwrap(),
         "merged output diverged recovering shard {victim} through a delta chain"
     );
-    assert_eq!(durable.recoveries.len(), 1);
+    assert_eq!(run.recoveries.len(), 1);
     assert!(
-        durable.recoveries[0].report.chain_length >= 1,
+        run.recoveries[0].report.chain_length >= 1,
         "the victim's recovery must walk at least one delta: {:?}",
-        durable.recoveries[0].report
+        run.recoveries[0].report
     );
-    let d = durable
-        .result
+    let d = run
         .report
         .durability
         .expect("durable cluster reports durability");
@@ -275,22 +317,21 @@ fn healthy_durable_cluster_matches_in_memory_cluster() {
     let cfg = ClusterConfig::new(3);
     let in_memory = run_cluster(&data, &events, &cfg).unwrap();
     let tmp = TempDir::new("healthy");
-    let durable = run_durable_cluster(tmp.path(), &data, &events, &cfg, &tight_policy(), &[])
-        .expect("durable cluster run");
+    let run =
+        run_cluster(&data, &events, &durable(&cfg, tmp.path(), &[])).expect("durable cluster run");
     assert_eq!(
         serde_json::to_string(&in_memory.output).unwrap(),
-        serde_json::to_string(&durable.result.output).unwrap(),
+        serde_json::to_string(&run.output).unwrap(),
     );
-    assert!(durable.recoveries.is_empty());
-    assert!(durable.shard_restores.iter().all(|&r| r == 0));
+    assert!(run.recoveries.is_empty());
+    assert!(run.shard_restores.iter().all(|&r| r == 0));
     for i in 0..cfg.shards {
         assert!(
             shard_dir(tmp.path(), i).is_dir(),
             "shard {i} directory missing"
         );
     }
-    let d = durable
-        .result
+    let d = run
         .report
         .durability
         .expect("durable cluster reports durability");

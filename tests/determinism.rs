@@ -2,15 +2,12 @@
 //! function of its seeds. Re-running a scenario and its analysis must
 //! yield byte-identical results; changing any seed must change them.
 
-use faultline_core::{Analysis, AnalysisConfig, ParallelismConfig};
+use faultline_core::{Analysis, AnalysisConfig};
 use faultline_sim::scenario::{run, ScenarioParams};
 
 fn fingerprint(params: &ScenarioParams) -> String {
     let data = run(params);
-    fingerprint_with(&Analysis::new(&data, AnalysisConfig::default()))
-}
-
-fn fingerprint_with(a: &Analysis<'_>) -> String {
+    let a = Analysis::new(&data, AnalysisConfig::default());
     let t4 = a.table4();
     let t3 = a.table3();
     let (t6, _) = a.table6();
@@ -32,45 +29,6 @@ fn fingerprint_with(a: &Analysis<'_>) -> String {
 fn same_seed_same_results() {
     let params = ScenarioParams::tiny(301);
     assert_eq!(fingerprint(&params), fingerprint(&params));
-}
-
-#[test]
-fn thread_count_does_not_change_results() {
-    let data = run(&ScenarioParams::tiny(305));
-    let serial = Analysis::run(
-        &data,
-        AnalysisConfig {
-            parallelism: ParallelismConfig::SERIAL,
-            ..AnalysisConfig::default()
-        },
-    );
-    let baseline = fingerprint_with(&serial);
-    // Every fan-out must be byte-identical to the serial pipeline,
-    // including awkward chunk sizes. threads = 0 is "auto".
-    for (threads, chunk_size) in [(0, 16), (2, 1), (4, 7), (8, 16)] {
-        let config = AnalysisConfig {
-            parallelism: ParallelismConfig {
-                threads,
-                chunk_size,
-            },
-            ..AnalysisConfig::default()
-        };
-        let parallel = Analysis::run(&data, config);
-        assert_eq!(
-            fingerprint_with(&parallel),
-            baseline,
-            "threads={threads} chunk_size={chunk_size} diverged"
-        );
-        assert_eq!(parallel.output.isis_failures, serial.output.isis_failures);
-        assert_eq!(
-            parallel.output.syslog_failures,
-            serial.output.syslog_failures
-        );
-        assert_eq!(
-            parallel.output.syslog_transitions,
-            serial.output.syslog_transitions
-        );
-    }
 }
 
 #[test]
