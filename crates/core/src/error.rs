@@ -169,6 +169,13 @@ pub enum AnalysisError {
         /// Human-readable description of the offending parameter.
         what: String,
     },
+    /// A snapshot handed to [`crate::StreamAnalysis::restore`] is not a
+    /// base: it chains to a parent, or its message base or lane
+    /// encoding assumes state the empty engine does not have.
+    InvalidSnapshot {
+        /// Why the snapshot cannot start an engine.
+        what: String,
+    },
 }
 
 impl fmt::Display for AnalysisError {
@@ -188,6 +195,9 @@ impl fmt::Display for AnalysisError {
             }
             AnalysisError::InvalidConfig { what } => {
                 write!(f, "invalid analysis configuration: {what}")
+            }
+            AnalysisError::InvalidSnapshot { what } => {
+                write!(f, "snapshot cannot start an engine: {what}")
             }
         }
     }

@@ -1011,11 +1011,13 @@ pub(crate) struct LaneTail {
     flap_episodes: u64,
 }
 
-/// One lane's contribution to a [`crate::streaming::StreamDelta`]:
-/// whole if the lane was born inside the diff window, a tail otherwise.
+/// One lane's contribution to a [`crate::streaming::StreamSnapshot`]:
+/// whole in a base or if the lane was born inside the diff window, a
+/// tail otherwise.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) enum LaneDelta {
-    /// Lane born after the parent snapshot — no parent image exists.
+    /// Lane in a base, or born after the parent snapshot — no parent
+    /// image exists.
     Full(LaneSnapshot),
     /// Lane that existed at the parent: scalars plus vector tails.
     Tail(LaneTail),

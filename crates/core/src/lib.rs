@@ -108,7 +108,7 @@ pub use reconstruct::{AmbiguityStrategy, Failure};
 pub use recovery::{AsyncFaultHook, DurabilityPolicy, DurableStream, RecoveryReport, RetryPolicy};
 pub use streaming::{
     scenario_event_stream, IngestOutcome, IngestSummary, LaneMigration, StreamAnalysis,
-    StreamCheckpoint, StreamDelta, StreamEvent, StreamOutput, StreamResult,
+    StreamEvent, StreamOutput, StreamResult, StreamSnapshot,
 };
 pub use transport::{
     locate_worker_bin, read_frame, serve_stdio, write_frame, DurableSpec, InProcessTransport,

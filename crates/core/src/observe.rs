@@ -122,8 +122,9 @@ pub struct DurabilityCounters {
     pub checkpoints_written: u64,
     /// Size in bytes of the most recent checkpoint payload.
     pub checkpoint_bytes_last: u64,
-    /// Slowest single checkpoint write, microseconds (serialize + fsync
-    /// + rename, excluding retries' backoff).
+    /// Slowest single checkpoint write, microseconds (serialize, write,
+    /// fsync, rename and prune, including any failed attempts and their
+    /// backoff).
     pub checkpoint_write_micros_max: u64,
     /// Checkpoint write attempts that failed and were retried.
     pub checkpoint_retries: u64,
@@ -145,19 +146,18 @@ pub struct DurabilityCounters {
     pub events_replayed: u64,
     /// Torn journal records dropped at a segment tail during recovery.
     pub journal_truncated_records: u64,
-    /// Incremental delta snapshots successfully written (a subset of
-    /// `checkpoints_written`; the rest were full bases).
+    /// Delta snapshots successfully written (a subset of
+    /// `checkpoints_written`; the rest were bases).
     #[serde(default)]
     pub deltas_written: u64,
     /// Total bytes across all delta snapshots written this run.
     #[serde(default)]
     pub delta_bytes_total: u64,
-    /// Total bytes across all full base checkpoints written this run.
+    /// Total bytes across all base snapshots written this run.
     #[serde(default)]
     pub full_bytes_total: u64,
-    /// Deltas the last recovery applied on top of its full base (0 when
-    /// the restored tip was itself a full checkpoint, or no recovery
-    /// happened).
+    /// Deltas the last recovery applied on top of its base (0 when the
+    /// restored tip was itself a base, or no recovery happened).
     #[serde(default)]
     pub chain_length_at_recovery: u64,
     /// Times the ingest thread blocked because the snapshot writer's

@@ -1,4 +1,4 @@
-//! Crash-safe durability for the streaming engine: checkpoints, a
+//! Crash-safe durability for the streaming engine: snapshots, a
 //! write-ahead event journal, and the recovery supervisor that stitches
 //! them back into a running [`StreamAnalysis`].
 //!
@@ -12,38 +12,34 @@
 //! 1. **Journal first.** Every offered event is appended to a rotating
 //!    journal segment (`journal/seg-<first_seq>.jl`, one checksummed
 //!    JSON record per line) *before* the engine sees it. After a crash,
-//!    the journal's tail is the part of the stream the checkpoint has
+//!    the journal's tail is the part of the stream the snapshots have
 //!    not absorbed yet.
-//! 2. **Checkpoint incrementally.** Every `checkpoint_interval` events
-//!    a snapshot is captured. A periodic **full base**
-//!    ([`StreamCheckpoint`], `ckpt-<seq>.ckpt`) serializes the whole
-//!    engine; between bases, **deltas** ([`StreamDelta`],
-//!    `delta-<seq>.dckpt`) serialize only the lanes the kernel dirtied
-//!    since the previous snapshot plus the appended message tail. Every
-//!    file is hashed (FNV-1a 64) and written via temp-file-and-rename so
-//!    a torn write can never replace a good snapshot; each delta's
-//!    header additionally chains back to its parent (parent seq +
-//!    parent payload hash). Cadence is
-//!    [`DurabilityPolicy::full_every_n_checkpoints`] capped by
-//!    [`DurabilityPolicy::max_chain_len`]. With
-//!    [`DurabilityPolicy::offload_snapshots`] (the default), capture is
-//!    a cheap in-memory clone on the ingest thread and serialization +
-//!    fsync + rename happen on a dedicated writer thread behind a
-//!    bounded hand-off queue; after a write exhausts its
-//!    [`RetryPolicy`], the stream falls back to synchronous full
-//!    snapshots (counted in
-//!    [`DurabilityCounters::snapshot_sync_fallbacks`]).
+//! 2. **Snapshot incrementally.** Every `checkpoint_interval` events a
+//!    [`StreamSnapshot`] is captured and written as `ckpt-<seq>.ckpt`.
+//!    There is one snapshot kind: a **base** has no parent and holds the
+//!    whole engine; a **delta** names its parent (parent seq + parent
+//!    payload hash in the header) and holds only the lanes the kernel
+//!    dirtied since then plus the appended message tail. After each
+//!    base, up to [`DurabilityPolicy::max_chain_len`] snapshots are
+//!    deltas; `0` makes every snapshot a base. Every file is hashed
+//!    (FNV-1a 64) and written via temp-file-and-rename so a torn write
+//!    can never replace a good snapshot. Capture is a cheap in-memory
+//!    clone on the ingest thread; serialization + fsync + rename happen
+//!    on a dedicated writer thread behind a bounded hand-off queue.
+//!    After a write exhausts its [`RetryPolicy`], the stream falls back
+//!    to synchronous snapshots on the ingest thread (counted in
+//!    [`DurabilityCounters::snapshot_sync_fallbacks`]). Both threads
+//!    write through the same function.
 //! 3. **Recover by chain-aware fallback ladder.**
 //!    [`DurableStream::recover`] tries snapshots newest→oldest as chain
-//!    *tips*: a full base restores directly; a delta walks parent
-//!    pointers down to its base, validating every link's payload hash
-//!    and the child-declared parent hash on the way, then re-applies the
-//!    deltas oldest→newest. Any torn, corrupt, missing, or
-//!    future-version link rejects the whole chain and the ladder moves
-//!    to the next tip. The journal tail is then replayed — tolerating a
-//!    torn final record per segment — and the run resumes. If no
-//!    snapshot survives but the journal reaches back to the first
-//!    event, it rebuilds from scratch.
+//!    *tips*: each walks parent pointers down to its base, validating
+//!    every link's payload hash and the child-declared parent hash on
+//!    the way, then applies the snapshots oldest→newest. Any torn,
+//!    corrupt, missing, or future-version link rejects the whole chain
+//!    and the ladder moves to the next tip. The journal tail is then
+//!    replayed — tolerating a torn final record per segment — and the
+//!    run resumes. If no snapshot survives but the journal reaches back
+//!    to the first event, it rebuilds from scratch.
 //!
 //! The contract, proven by `tests/crash_recovery.rs` at every event
 //! boundary: a killed-and-recovered run flushes a [`StreamOutput`]
@@ -56,9 +52,7 @@
 use crate::analysis::AnalysisConfig;
 use crate::error::RecoveryError;
 use crate::observe::{self, DurabilityCounters};
-use crate::streaming::{
-    IngestOutcome, StreamAnalysis, StreamCheckpoint, StreamDelta, StreamEvent, StreamResult,
-};
+use crate::streaming::{IngestOutcome, StreamAnalysis, StreamEvent, StreamResult, StreamSnapshot};
 use faultline_sim::ScenarioData;
 use serde::{Deserialize, Serialize};
 use std::fs::{self, File};
@@ -68,19 +62,15 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Checkpoint format version this build writes and reads.
-pub const CHECKPOINT_VERSION: u32 = 1;
+/// Snapshot format version this build writes and reads. Version 1 kept
+/// full checkpoints and deltas in two file kinds; its files are rejected
+/// with [`RecoveryError::UnsupportedVersion`].
+pub const CHECKPOINT_VERSION: u32 = 2;
 
-/// Delta-snapshot format version this build writes and reads.
-pub const DELTA_VERSION: u32 = 1;
-
-/// Magic string opening every full-checkpoint header.
+/// Magic string opening every snapshot header.
 const MAGIC: &str = "faultline-checkpoint";
 
-/// Magic string opening every delta-snapshot header.
-const DELTA_MAGIC: &str = "faultline-delta";
-
-/// FNV-1a 64-bit — the integrity hash for checkpoint payloads and
+/// FNV-1a 64-bit — the integrity hash for snapshot payloads and
 /// journal records (fast, dependency-free, and deterministic across
 /// platforms; corruption detection, not cryptography).
 pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -127,29 +117,19 @@ pub struct DurabilityPolicy {
     /// Rotate the journal to a fresh segment after this many records.
     pub segment_max_records: u64,
     /// How many of the newest snapshot **chains** to keep on disk: that
-    /// many full bases, each with every delta that chains to it (a base
-    /// is never deleted while a retained delta still depends on it).
-    /// With delta snapshots disabled this degenerates to "the newest N
-    /// checkpoint files". Keeping more than one chain is what makes the
-    /// fallback ladder possible.
+    /// many bases, each with every delta that chains to it (a base is
+    /// never deleted while a retained delta still depends on it). With
+    /// `max_chain_len == 0` this is "the newest N snapshot files".
+    /// Keeping more than one chain is what makes the fallback ladder
+    /// possible.
     pub retain_checkpoints: usize,
-    /// Write a full base every this many snapshots; the snapshots in
-    /// between are incremental deltas chained to the previous one. `0`
-    /// or `1` disables deltas entirely (every snapshot is a full
-    /// checkpoint — the pre-chain behavior, and what an old serialized
-    /// policy deserializes to).
-    #[serde(default)]
-    pub full_every_n_checkpoints: u64,
-    /// Hard cap on consecutive deltas between bases, bounding both
-    /// recovery's chain walk and the blast radius of a lost base. `0`
-    /// disables deltas.
+    /// How many deltas follow each base: after a base, up to this many
+    /// snapshots are deltas, each chained to the one before, and then
+    /// the next snapshot is a new base. Bounds both recovery's chain
+    /// walk and the blast radius of a lost base. `0` makes every
+    /// snapshot a base.
     #[serde(default)]
     pub max_chain_len: u64,
-    /// Serialize and write snapshots on a dedicated writer thread (the
-    /// ingest thread only pays for an in-memory state clone). `false`
-    /// keeps every write synchronous on the ingest path.
-    #[serde(default)]
-    pub offload_snapshots: bool,
     /// Group-commit cadence for the journal: `fsync` the active segment
     /// after every this many appended records (and on segment rotation).
     /// `0` — the default — never fsyncs, matching the original
@@ -169,9 +149,7 @@ impl Default for DurabilityPolicy {
             checkpoint_interval: 10_000,
             segment_max_records: 8_192,
             retain_checkpoints: 2,
-            full_every_n_checkpoints: 8,
             max_chain_len: 6,
-            offload_snapshots: true,
             fsync_every_n_records: 0,
             retry: RetryPolicy::default(),
         }
@@ -184,9 +162,8 @@ pub struct RecoveryReport {
     /// Sequence number of the snapshot tip that was restored, if any
     /// (the newest link of the restored chain).
     pub checkpoint_seq: Option<u64>,
-    /// Deltas applied on top of the full base to reach
-    /// `checkpoint_seq`: `0` means the tip itself was a full
-    /// checkpoint.
+    /// Deltas applied on top of the base to reach `checkpoint_seq`:
+    /// `0` means the tip itself was a base.
     #[serde(default)]
     pub chain_length: u64,
     /// Checkpoints that failed validation and were skipped.
@@ -203,7 +180,7 @@ pub struct RecoveryReport {
     /// The engine's event position after recovery: the caller resumes
     /// feeding from source position `resumed_at_seq` (0-based) onward.
     pub resumed_at_seq: u64,
-    /// The replayed journal prefix was folded into a fresh checkpoint at
+    /// The replayed journal prefix was folded into a fresh base at
     /// `resumed_at_seq` (snapshot compaction), so the next recovery
     /// restores directly instead of re-replaying the same tail.
     /// Best-effort: `false` when nothing was replayed or the compaction
@@ -229,81 +206,73 @@ pub type CheckpointFaultHook = Box<dyn FnMut(u64, u32) -> bool + Send>;
 pub type AsyncFaultHook = Arc<dyn Fn(u64, u32) -> bool + Send + Sync>;
 
 // ---------------------------------------------------------------------
-// Checkpoint files
+// Snapshot files
 // ---------------------------------------------------------------------
 
 fn checkpoint_name(seq: u64) -> String {
     format!("ckpt-{seq:012}.ckpt")
 }
 
-fn delta_name(seq: u64) -> String {
-    format!("delta-{seq:012}.dckpt")
-}
-
-/// What kind of snapshot file a directory entry is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum SnapKind {
-    /// An incremental delta (`delta-<seq>.dckpt`).
-    Delta,
-    /// A full base checkpoint (`ckpt-<seq>.ckpt`). Sorts after `Delta`
-    /// at equal sequence so the recovery ladder prefers the full file
-    /// (post-compaction, both can exist at one sequence).
-    Full,
-}
-
-/// One snapshot file on disk — a candidate chain link.
-#[derive(Debug, Clone)]
-struct SnapFile {
-    seq: u64,
-    kind: SnapKind,
-    path: PathBuf,
-}
-
-/// Every snapshot file (full bases and deltas), ascending by sequence
-/// then kind. Temp files and foreign names are ignored.
-fn list_snapshots(dir: &Path) -> Result<Vec<SnapFile>, RecoveryError> {
+/// Files in `dir` named `{prefix}<seq>{suffix}`, ascending by sequence.
+/// Temp files and foreign names are ignored; a missing directory lists
+/// as empty.
+fn list_numbered(
+    dir: &Path,
+    prefix: &str,
+    suffix: &str,
+    op: &'static str,
+) -> Result<Vec<(u64, PathBuf)>, RecoveryError> {
     let mut out = Vec::new();
     let entries = match fs::read_dir(dir) {
         Ok(e) => e,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(out),
-        Err(e) => return Err(io_err("list snapshots", dir, e)),
+        Err(e) => return Err(io_err(op, dir, e)),
     };
     for entry in entries {
-        let entry = entry.map_err(|e| io_err("list snapshots", dir, e))?;
+        let entry = entry.map_err(|e| io_err(op, dir, e))?;
         let name = entry.file_name();
         let Some(name) = name.to_str() else { continue };
-        let parsed = name
-            .strip_prefix("ckpt-")
-            .and_then(|s| s.strip_suffix(".ckpt"))
-            .map(|stem| (SnapKind::Full, stem))
-            .or_else(|| {
-                name.strip_prefix("delta-")
-                    .and_then(|s| s.strip_suffix(".dckpt"))
-                    .map(|stem| (SnapKind::Delta, stem))
-            });
-        let Some((kind, stem)) = parsed else { continue };
+        let Some(stem) = name
+            .strip_prefix(prefix)
+            .and_then(|s| s.strip_suffix(suffix))
+        else {
+            continue;
+        };
         if let Ok(seq) = stem.parse::<u64>() {
-            out.push(SnapFile {
-                seq,
-                kind,
-                path: entry.path(),
-            });
+            out.push((seq, entry.path()));
         }
     }
-    out.sort_by_key(|s| (s.seq, s.kind));
+    out.sort_by_key(|&(seq, _)| seq);
     Ok(out)
 }
 
-/// The atomic write shared by both snapshot kinds: temp file in the
-/// same directory, `sync_all`, then rename over the final name. Returns
-/// the file's size in bytes.
-fn write_snapshot_atomic(
+/// Every snapshot file (bases and deltas share one name per sequence),
+/// ascending by sequence.
+fn list_snapshots(dir: &Path) -> Result<Vec<(u64, PathBuf)>, RecoveryError> {
+    list_numbered(dir, "ckpt-", ".ckpt", "list snapshots")
+}
+
+/// Atomically write one snapshot file: temp file in the same directory,
+/// `sync_all`, then rename over `ckpt-<seq>.ckpt`. The header chains a
+/// delta to its parent (`parent_seq` + the parent's payload hash); a
+/// base's chain fields are `null`. Returns the file's size in bytes.
+fn write_checkpoint_file(
     dir: &Path,
-    name: &str,
-    header: &str,
     payload: &str,
+    seq: u64,
+    parent: Option<(u64, u64)>,
 ) -> Result<u64, RecoveryError> {
-    let final_path = dir.join(name);
+    let (parent_seq, parent_fnv) = match parent {
+        Some((seq, fnv)) => (seq.to_string(), format!("\"{fnv:016x}\"")),
+        None => ("null".to_string(), "null".to_string()),
+    };
+    let header = format!(
+        "{{\"magic\":\"{MAGIC}\",\"version\":{CHECKPOINT_VERSION},\"seq\":{seq},\"parent_seq\":{parent_seq},\"parent_fnv\":{parent_fnv},\"payload_len\":{},\"payload_fnv\":\"{:016x}\"}}\n",
+        payload.len(),
+        fnv1a64(payload.as_bytes()),
+    );
+    let name = checkpoint_name(seq);
+    let final_path = dir.join(&name);
     let tmp_path = dir.join(format!("{name}.tmp"));
     let mut f = File::create(&tmp_path).map_err(|e| io_err("write checkpoint", &tmp_path, e))?;
     f.write_all(header.as_bytes())
@@ -316,35 +285,6 @@ fn write_snapshot_atomic(
     Ok((header.len() + payload.len() + 1) as u64)
 }
 
-/// Atomically write one full checkpoint file. Returns the file's size
-/// in bytes.
-fn write_checkpoint_file(dir: &Path, payload: &str, seq: u64) -> Result<u64, RecoveryError> {
-    let header = format!(
-        "{{\"magic\":\"{MAGIC}\",\"version\":{CHECKPOINT_VERSION},\"seq\":{seq},\"payload_len\":{},\"payload_fnv\":\"{:016x}\"}}\n",
-        payload.len(),
-        fnv1a64(payload.as_bytes()),
-    );
-    write_snapshot_atomic(dir, &checkpoint_name(seq), &header, payload)
-}
-
-/// Atomically write one delta file whose header chains it to its parent
-/// snapshot (`parent_seq` + the parent's payload hash). Returns the
-/// file's size in bytes.
-fn write_delta_file(
-    dir: &Path,
-    payload: &str,
-    seq: u64,
-    parent_seq: u64,
-    parent_fnv: u64,
-) -> Result<u64, RecoveryError> {
-    let header = format!(
-        "{{\"magic\":\"{DELTA_MAGIC}\",\"version\":{DELTA_VERSION},\"seq\":{seq},\"parent_seq\":{parent_seq},\"parent_fnv\":\"{parent_fnv:016x}\",\"payload_len\":{},\"payload_fnv\":\"{:016x}\"}}\n",
-        payload.len(),
-        fnv1a64(payload.as_bytes()),
-    );
-    write_snapshot_atomic(dir, &delta_name(seq), &header, payload)
-}
-
 fn corrupt(path: &Path, reason: impl Into<String>) -> RecoveryError {
     RecoveryError::CorruptCheckpoint {
         path: path.display().to_string(),
@@ -352,36 +292,37 @@ fn corrupt(path: &Path, reason: impl Into<String>) -> RecoveryError {
     }
 }
 
-/// A parsed-and-verified snapshot file: its header fields and the
-/// hash-checked payload text.
-struct VerifiedSnapshot {
-    header: serde::Value,
+/// A fully validated snapshot file plus the chain fields recovery needs.
+struct LoadedSnapshot {
+    snap: StreamSnapshot,
+    /// The payload hash the header declares for the parent (`None` for a
+    /// base).
+    parent_fnv: Option<u64>,
     payload_fnv: u64,
-    payload: String,
 }
 
-/// Shared validation for both snapshot kinds: magic, version, payload
-/// length, and integrity hash. `magic`/`version` select the expected
-/// format.
-fn load_verified(
-    path: &Path,
-    magic: &str,
-    version_expected: u32,
-) -> Result<VerifiedSnapshot, RecoveryError> {
-    let text = fs::read_to_string(path).map_err(|e| io_err("read checkpoint", path, e))?;
-    let Some((header_line, rest)) = text.split_once('\n') else {
+/// Load and fully validate one snapshot file: magic, version, payload
+/// length, integrity hash, header/payload agreement on the sequence and
+/// the parent pointer, and parent monotonicity (`parent_seq < seq` — a
+/// chain can never loop). The file is read as bytes, so damage that
+/// breaks UTF-8 is a [`RecoveryError::CorruptCheckpoint`] like any
+/// other.
+fn load_snapshot(path: &Path) -> Result<LoadedSnapshot, RecoveryError> {
+    let bytes = fs::read(path).map_err(|e| io_err("read checkpoint", path, e))?;
+    let Some(newline) = bytes.iter().position(|&b| b == b'\n') else {
         return Err(corrupt(path, "missing header line"));
     };
-    let header: serde::Value = serde_json::from_str(header_line)
+    let (header_line, rest) = (&bytes[..newline], &bytes[newline + 1..]);
+    let header: serde::Value = serde_json::from_slice(header_line)
         .map_err(|e| corrupt(path, format!("unparseable header: {e}")))?;
-    if header["magic"].as_str() != Some(magic) {
+    if header["magic"].as_str() != Some(MAGIC) {
         return Err(corrupt(path, "bad magic"));
     }
     let version = header["version"].as_u64().unwrap_or(0) as u32;
-    if version != version_expected {
+    if version != CHECKPOINT_VERSION {
         return Err(RecoveryError::UnsupportedVersion {
             found: version,
-            expected: version_expected,
+            expected: CHECKPOINT_VERSION,
         });
     }
     let Some(payload_len) = header["payload_len"].as_u64() else {
@@ -398,7 +339,7 @@ fn load_verified(
         ));
     }
     let payload = &rest[..payload_len];
-    let payload_fnv = fnv1a64(payload.as_bytes());
+    let payload_fnv = fnv1a64(payload);
     let got_fnv = format!("{payload_fnv:016x}");
     if got_fnv != expect_fnv {
         return Err(corrupt(
@@ -406,96 +347,59 @@ fn load_verified(
             format!("payload hash mismatch: header {expect_fnv}, payload {got_fnv}"),
         ));
     }
-    Ok(VerifiedSnapshot {
-        header,
-        payload_fnv,
-        payload: payload.to_string(),
-    })
-}
-
-/// Load and fully validate one checkpoint file: magic, version, payload
-/// length, integrity hash, and header/payload sequence agreement.
-pub fn load_checkpoint(path: &Path) -> Result<StreamCheckpoint, RecoveryError> {
-    load_checkpoint_with_fnv(path).map(|(ckpt, _)| ckpt)
-}
-
-/// [`load_checkpoint`] plus the verified payload hash — what a delta
-/// child's `parent_fnv` must match during a chain walk.
-fn load_checkpoint_with_fnv(path: &Path) -> Result<(StreamCheckpoint, u64), RecoveryError> {
-    let v = load_verified(path, MAGIC, CHECKPOINT_VERSION)?;
-    let ckpt: StreamCheckpoint = serde_json::from_str(&v.payload)
+    let snap: StreamSnapshot = serde_json::from_slice(payload)
         .map_err(|e| corrupt(path, format!("unparseable payload: {e}")))?;
-    if v.header["seq"].as_u64() != Some(ckpt.seq()) {
+    if header["seq"].as_u64() != Some(snap.seq()) {
         return Err(corrupt(path, "header/payload sequence disagreement"));
     }
-    Ok((ckpt, v.payload_fnv))
-}
-
-/// A fully validated delta file plus the chain fields recovery needs.
-struct LoadedDelta {
-    delta: StreamDelta,
-    parent_seq: u64,
-    parent_fnv: u64,
-    payload_fnv: u64,
-}
-
-/// Load and fully validate one delta file: everything
-/// [`load_checkpoint`] checks, plus header/payload agreement on both
-/// the sequence and the parent pointer, and parent monotonicity
-/// (`parent_seq < seq` — a chain can never loop).
-fn load_delta(path: &Path) -> Result<LoadedDelta, RecoveryError> {
-    let v = load_verified(path, DELTA_MAGIC, DELTA_VERSION)?;
-    let delta: StreamDelta = serde_json::from_str(&v.payload)
-        .map_err(|e| corrupt(path, format!("unparseable payload: {e}")))?;
-    if v.header["seq"].as_u64() != Some(delta.seq()) {
-        return Err(corrupt(path, "header/payload sequence disagreement"));
-    }
-    if v.header["parent_seq"].as_u64() != Some(delta.parent_seq()) {
-        return Err(corrupt(path, "header/payload parent disagreement"));
-    }
-    let Some(parent_fnv) = v.header["parent_fnv"]
-        .as_str()
-        .and_then(|s| u64::from_str_radix(s, 16).ok())
-    else {
-        return Err(corrupt(path, "header missing parent_fnv"));
+    let parent_fnv = match snap.parent_seq() {
+        None if header["parent_seq"].is_null() && header["parent_fnv"].is_null() => None,
+        Some(parent) if header["parent_seq"].as_u64() == Some(parent) => {
+            let Some(fnv) = header["parent_fnv"]
+                .as_str()
+                .and_then(|s| u64::from_str_radix(s, 16).ok())
+            else {
+                return Err(corrupt(path, "header missing parent_fnv"));
+            };
+            if parent >= snap.seq() {
+                return Err(corrupt(path, "non-monotonic parent pointer"));
+            }
+            Some(fnv)
+        }
+        _ => return Err(corrupt(path, "header/payload parent disagreement")),
     };
-    if delta.parent_seq() >= delta.seq() {
-        return Err(corrupt(path, "non-monotonic parent pointer"));
-    }
-    Ok(LoadedDelta {
-        parent_seq: delta.parent_seq(),
+    Ok(LoadedSnapshot {
+        snap,
         parent_fnv,
-        payload_fnv: v.payload_fnv,
-        delta,
+        payload_fnv,
     })
+}
+
+/// Load and fully validate one snapshot file — base or delta — with
+/// every check the recovery ladder applies. Never panics on damaged
+/// input.
+pub fn load_checkpoint(path: &Path) -> Result<StreamSnapshot, RecoveryError> {
+    load_snapshot(path).map(|loaded| loaded.snap)
 }
 
 /// Read just a snapshot file's header line and return its declared
-/// payload hash — enough to pick the right parent among same-sequence
-/// candidates and to resolve chains during pruning without reading full
-/// payloads. `None` on any damage (the caller treats that link as
-/// missing).
-fn peek_payload_fnv(path: &Path) -> Option<u64> {
+/// parent — `Some(None)` for a base, `Some(Some(seq))` for a delta —
+/// enough to resolve chains during pruning without reading payloads.
+/// `None` on any damage (the caller treats the file as unreadable).
+fn peek_parent_seq(path: &Path) -> Option<Option<u64>> {
     let file = File::open(path).ok()?;
-    let mut line = String::new();
-    std::io::BufReader::new(file).read_line(&mut line).ok()?;
-    let header: serde::Value = serde_json::from_str(line.trim_end()).ok()?;
-    header["payload_fnv"]
-        .as_str()
-        .and_then(|s| u64::from_str_radix(s, 16).ok())
-}
-
-/// Read just a delta file's header line and return its declared parent
-/// sequence. `None` for non-delta files or any damage.
-fn peek_parent_seq(path: &Path) -> Option<u64> {
-    let file = File::open(path).ok()?;
-    let mut line = String::new();
-    std::io::BufReader::new(file).read_line(&mut line).ok()?;
-    let header: serde::Value = serde_json::from_str(line.trim_end()).ok()?;
-    if header["magic"].as_str() != Some(DELTA_MAGIC) {
+    let mut line = Vec::new();
+    std::io::BufReader::new(file)
+        .read_until(b'\n', &mut line)
+        .ok()?;
+    let header: serde::Value = serde_json::from_slice(line.trim_ascii_end()).ok()?;
+    if header["magic"].as_str() != Some(MAGIC) {
         return None;
     }
-    header["parent_seq"].as_u64()
+    match &header["parent_seq"] {
+        parent if parent.is_null() => Some(None),
+        parent => parent.as_u64().map(Some),
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -508,28 +412,7 @@ fn segment_name(first_seq: u64) -> String {
 
 /// Journal segments on disk, ascending by first sequence number.
 fn list_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>, RecoveryError> {
-    let mut out = Vec::new();
-    let entries = match fs::read_dir(dir) {
-        Ok(e) => e,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(out),
-        Err(e) => return Err(io_err("list journal segments", dir, e)),
-    };
-    for entry in entries {
-        let entry = entry.map_err(|e| io_err("list journal segments", dir, e))?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let Some(stem) = name
-            .strip_prefix("seg-")
-            .and_then(|s| s.strip_suffix(".jl"))
-        else {
-            continue;
-        };
-        if let Ok(seq) = stem.parse::<u64>() {
-            out.push((seq, entry.path()));
-        }
-    }
-    out.sort_by_key(|&(seq, _)| seq);
-    Ok(out)
+    list_numbered(dir, "seg-", ".jl", "list journal segments")
 }
 
 /// Appends checksummed event records to rotating journal segments. Each
@@ -645,10 +528,11 @@ fn corrupt_journal(path: &Path, seq: u64, reason: impl Into<String>) -> Recovery
 }
 
 /// Parse and verify one journal line; returns `(seq, event)`, or `None`
-/// if the line is damaged (torn write or bit rot — the caller decides
-/// whether that is a recoverable tail).
-fn parse_record(line: &str) -> Option<(u64, StreamEvent)> {
-    let v: serde::Value = serde_json::from_str(line).ok()?;
+/// if the line is damaged (torn write or bit rot, including bytes that
+/// are not UTF-8 — the caller decides whether that is a recoverable
+/// tail).
+fn parse_record(line: &[u8]) -> Option<(u64, StreamEvent)> {
+    let v: serde::Value = serde_json::from_slice(line).ok()?;
     let seq = v["seq"].as_u64()?;
     let expect_fnv = v["fnv"].as_str()?;
     let event_value = v.as_object()?.get("event")?.clone();
@@ -697,10 +581,11 @@ fn replay_journal(
                 format!("segment gap: needed {next_needed}, segment starts at {first_seq}"),
             ));
         }
-        let text = fs::read_to_string(path).map_err(|e| io_err("read journal segment", path, e))?;
+        let bytes = fs::read(path).map_err(|e| io_err("read journal segment", path, e))?;
         let mut expected = *first_seq;
         let mut torn_here = false;
-        for line in text.lines() {
+        for line in bytes.split_inclusive(|&b| b == b'\n') {
+            let line = line.strip_suffix(b"\n").unwrap_or(line);
             if torn_here {
                 truncated += 1;
                 continue;
@@ -743,85 +628,60 @@ fn replay_journal(
 // ---------------------------------------------------------------------
 
 /// Resolve and restore the snapshot chain ending at `tip`: walk parent
-/// pointers down to a full base — validating every file's payload hash
-/// and every child's declared parent hash on the way — then rebuild the
-/// engine from the base and re-apply the deltas oldest→newest. Any bad
-/// link (torn, corrupt, missing, future-version, hash-mismatched)
-/// rejects the **whole** chain with a typed error; the caller's ladder
-/// moves on to the next tip.
+/// pointers down to a base — validating every file's payload hash and
+/// every child's declared parent hash on the way — then restore the base
+/// and apply the deltas oldest→newest. Any bad link (torn, corrupt,
+/// missing, future-version, hash-mismatched) rejects the **whole** chain
+/// with a typed error; the caller's ladder moves on to the next tip.
 ///
 /// Returns the restored engine, the tip's payload hash (the parent hash
 /// the next delta written by the resumed run must chain to), and the
 /// chain length (deltas applied on top of the base).
 fn restore_chain<'a>(
     data: &'a ScenarioData,
-    snaps: &[SnapFile],
-    tip: &SnapFile,
+    snaps: &[(u64, PathBuf)],
+    tip: &(u64, PathBuf),
 ) -> Result<(StreamAnalysis<'a>, u64, u64), RecoveryError> {
-    let mut deltas: Vec<(PathBuf, StreamDelta)> = Vec::new();
+    // Tip first, base last.
+    let mut chain: Vec<(PathBuf, StreamSnapshot)> = Vec::new();
     let mut tip_fnv: Option<u64> = None;
-    let mut cur = tip.clone();
+    let (mut seq, mut path) = tip.clone();
     // A child's declared parent hash constrains the next file down.
     let mut expect_fnv: Option<u64> = None;
-    let base = loop {
-        if deltas.len() > snaps.len() {
-            return Err(corrupt(&cur.path, "chain longer than the snapshot set"));
+    loop {
+        if chain.len() >= snaps.len() {
+            return Err(corrupt(&path, "chain longer than the snapshot set"));
         }
-        match cur.kind {
-            SnapKind::Full => {
-                let (ckpt, fnv) = load_checkpoint_with_fnv(&cur.path)?;
-                if ckpt.seq() != cur.seq {
-                    // A renamed or content-swapped file: internally
-                    // consistent, but it is not the snapshot its name
-                    // claims, so the chain built on that name is a lie.
-                    return Err(corrupt(
-                        &cur.path,
-                        "file name / content sequence disagreement",
-                    ));
-                }
-                if expect_fnv.is_some_and(|e| e != fnv) {
-                    return Err(corrupt(&cur.path, "chain parent hash mismatch"));
-                }
-                tip_fnv.get_or_insert(fnv);
-                break ckpt;
-            }
-            SnapKind::Delta => {
-                let loaded = load_delta(&cur.path)?;
-                if loaded.delta.seq() != cur.seq {
-                    return Err(corrupt(
-                        &cur.path,
-                        "file name / content sequence disagreement",
-                    ));
-                }
-                if expect_fnv.is_some_and(|e| e != loaded.payload_fnv) {
-                    return Err(corrupt(&cur.path, "chain parent hash mismatch"));
-                }
-                tip_fnv.get_or_insert(loaded.payload_fnv);
-                // The parent is whichever same-sequence file carries the
-                // hash this delta declares (post-compaction a full and a
-                // delta can share a sequence number).
-                let parent = snaps
-                    .iter()
-                    .filter(|s| s.seq == loaded.parent_seq)
-                    .find(|s| peek_payload_fnv(&s.path) == Some(loaded.parent_fnv));
-                let Some(parent) = parent else {
-                    return Err(corrupt(
-                        &cur.path,
-                        format!("missing parent snapshot at seq {}", loaded.parent_seq),
-                    ));
-                };
-                let next = parent.clone();
-                deltas.push((cur.path.clone(), loaded.delta));
-                expect_fnv = Some(loaded.parent_fnv);
-                cur = next;
-            }
+        let loaded = load_snapshot(&path)?;
+        if loaded.snap.seq() != seq {
+            // A renamed or content-swapped file: internally consistent,
+            // but it is not the snapshot its name claims, so the chain
+            // built on that name is a lie.
+            return Err(corrupt(&path, "file name / content sequence disagreement"));
         }
-    };
+        if expect_fnv.is_some_and(|e| e != loaded.payload_fnv) {
+            return Err(corrupt(&path, "chain parent hash mismatch"));
+        }
+        tip_fnv.get_or_insert(loaded.payload_fnv);
+        let parent_seq = loaded.snap.parent_seq();
+        expect_fnv = loaded.parent_fnv;
+        chain.push((path.clone(), loaded.snap));
+        let Some(parent_seq) = parent_seq else { break };
+        let Some(parent) = snaps.iter().find(|(s, _)| *s == parent_seq) else {
+            return Err(corrupt(
+                &path,
+                format!("missing parent snapshot at seq {parent_seq}"),
+            ));
+        };
+        (seq, path) = parent.clone();
+    }
+    let chain_len = chain.len() as u64 - 1;
+    // Invariant: the loop pushed at least the tip before breaking.
+    let (_, base) = chain.pop().expect("chain walk visited at least the tip");
     let mut engine = StreamAnalysis::restore(data, base).map_err(RecoveryError::from)?;
-    let chain_len = deltas.len() as u64;
-    for (path, delta) in deltas.into_iter().rev() {
+    for (path, delta) in chain.into_iter().rev() {
         engine
-            .apply_delta(delta)
+            .apply(delta)
             .map_err(|reason| corrupt(&path, reason))?;
     }
     // Invariant: the loop set `tip_fnv` on its first iteration.
@@ -830,51 +690,140 @@ fn restore_chain<'a>(
 }
 
 // ---------------------------------------------------------------------
-// Off-thread snapshot writer
+// Snapshot writes
 // ---------------------------------------------------------------------
+
+/// Where snapshots go and how writes retry and prune: everything the one
+/// write path needs, cloned into the writer thread.
+#[derive(Clone)]
+struct SnapshotStore {
+    dir: PathBuf,
+    journal_dir: PathBuf,
+    retry: RetryPolicy,
+    retain: usize,
+}
+
+/// What one snapshot write did, on either thread.
+struct SnapResult {
+    seq: u64,
+    is_delta: bool,
+    /// File size and payload hash on success.
+    outcome: Result<(u64, u64), RecoveryError>,
+    /// Failed attempts.
+    retries: u64,
+    wall_micros: u64,
+}
+
+impl SnapshotStore {
+    /// The one snapshot write path, used by the writer thread and by the
+    /// synchronous path alike: chain-check, serialize, hash, then per
+    /// attempt consult the fault hook and write atomically, backing off
+    /// between failed attempts; prune on success. `tip` is the
+    /// (sequence, payload hash) of the last durable snapshot — a delta
+    /// must chain to it, so after a failed write the queued descendants
+    /// are rejected rather than written with a dangling parent.
+    /// Exhausting the retry budget is [`RecoveryError::RetriesExhausted`].
+    fn write(
+        &self,
+        snap: &StreamSnapshot,
+        tip: Option<(u64, u64)>,
+        fault: &mut dyn FnMut(u64, u32) -> bool,
+    ) -> SnapResult {
+        let t0 = Instant::now();
+        let mut retries = 0u64;
+        let outcome = self.write_with_retries(snap, tip, fault, &mut retries);
+        SnapResult {
+            seq: snap.seq(),
+            is_delta: snap.parent_seq().is_some(),
+            outcome,
+            retries,
+            wall_micros: t0.elapsed().as_micros() as u64,
+        }
+    }
+
+    fn write_with_retries(
+        &self,
+        snap: &StreamSnapshot,
+        tip: Option<(u64, u64)>,
+        fault: &mut dyn FnMut(u64, u32) -> bool,
+        retries: &mut u64,
+    ) -> Result<(u64, u64), RecoveryError> {
+        let seq = snap.seq();
+        let path = self.dir.join(checkpoint_name(seq));
+        let parent = match snap.parent_seq() {
+            None => None,
+            Some(p) => match tip {
+                Some((tip_seq, tip_fnv)) if tip_seq == p => Some((p, tip_fnv)),
+                _ => {
+                    return Err(io_err(
+                        "write checkpoint",
+                        &path,
+                        std::io::Error::new(
+                            std::io::ErrorKind::NotFound,
+                            format!("parent snapshot {p} is not durable"),
+                        ),
+                    ))
+                }
+            },
+        };
+        let payload = serde_json::to_string(snap).map_err(|e| {
+            io_err(
+                "serialize checkpoint",
+                &path,
+                std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()),
+            )
+        })?;
+        let fnv = fnv1a64(payload.as_bytes());
+        let max_attempts = self.retry.max_attempts.max(1);
+        let mut attempt = 0u32;
+        loop {
+            attempt += 1;
+            let outcome = if fault(seq, attempt) {
+                Err(io_err(
+                    "write checkpoint",
+                    &path,
+                    std::io::Error::new(
+                        std::io::ErrorKind::Interrupted,
+                        "injected transient write failure",
+                    ),
+                ))
+            } else {
+                write_checkpoint_file(&self.dir, &payload, seq, parent)
+            };
+            match outcome {
+                Ok(bytes) => {
+                    prune_snapshots(&self.dir, &self.journal_dir, self.retain);
+                    return Ok((bytes, fnv));
+                }
+                Err(e) => {
+                    *retries += 1;
+                    if attempt >= max_attempts {
+                        return Err(RecoveryError::RetriesExhausted {
+                            op: "write checkpoint",
+                            attempts: attempt,
+                            last_error: e.to_string(),
+                        });
+                    }
+                    let backoff = self.retry.backoff_base_ms << (attempt - 1);
+                    std::thread::sleep(std::time::Duration::from_millis(backoff));
+                }
+            }
+        }
+    }
+}
 
 /// Bound on snapshots queued to the writer thread before the ingest
 /// thread blocks (a backpressure stall, counted in
 /// [`DurabilityCounters::snapshot_thread_stalls`]).
 const SNAPSHOT_QUEUE_DEPTH: usize = 2;
 
-/// A frozen state capture handed to the writer thread.
-enum SnapJob {
-    Full {
-        seq: u64,
-        ckpt: Box<StreamCheckpoint>,
-    },
-    Delta {
-        seq: u64,
-        parent_seq: u64,
-        delta: Box<StreamDelta>,
-    },
-}
-
-/// What the writer thread reports back for one job, in submission
-/// order.
-struct SnapResult {
-    seq: u64,
-    is_delta: bool,
-    ok: bool,
-    bytes: u64,
-    wall_micros: u64,
-    /// Failed attempts (mirrors the sync path's per-attempt retry
-    /// counting).
-    retries: u64,
-    /// Payload hash of the written file (chain anchor for the next
-    /// delta). Meaningless when `!ok`.
-    fnv: u64,
-}
-
-/// The dedicated snapshot writer: owns serialization, hashing,
-/// chain-stamping, atomic writes, retries, and post-write pruning, so
-/// the ingest thread only pays for the in-memory capture. Dropping the
-/// writer closes the queue and **joins** the thread — queued snapshots
-/// finish before a drop-kill "crash" completes, which keeps the
-/// drop-at-any-boundary tests deterministic.
+/// The dedicated snapshot writer: runs [`SnapshotStore::write`] for each
+/// queued capture, so the ingest thread only pays for the in-memory
+/// capture. Dropping the writer closes the queue and **joins** the
+/// thread — queued snapshots finish before a drop-kill "crash"
+/// completes, which keeps the drop-at-any-boundary tests deterministic.
 struct SnapshotWriter {
-    tx: Option<mpsc::SyncSender<SnapJob>>,
+    tx: Option<mpsc::SyncSender<StreamSnapshot>>,
     rx: mpsc::Receiver<SnapResult>,
     handle: Option<std::thread::JoinHandle<()>>,
     /// Jobs submitted but not yet acknowledged via `rx`.
@@ -883,21 +832,23 @@ struct SnapshotWriter {
 
 impl SnapshotWriter {
     fn spawn(
-        dir: PathBuf,
-        journal_dir: PathBuf,
-        retry: RetryPolicy,
-        retain: usize,
+        store: SnapshotStore,
         init_tip: Option<(u64, u64)>,
         fault: Option<AsyncFaultHook>,
     ) -> SnapshotWriter {
-        let (tx, job_rx) = mpsc::sync_channel::<SnapJob>(SNAPSHOT_QUEUE_DEPTH);
+        let (tx, job_rx) = mpsc::sync_channel::<StreamSnapshot>(SNAPSHOT_QUEUE_DEPTH);
         let (result_tx, rx) = mpsc::channel::<SnapResult>();
         let handle = std::thread::spawn(move || {
-            // (seq, payload hash) of the last successfully written
-            // snapshot — what a delta job's parent must equal.
-            let mut last: Option<(u64, u64)> = init_tip;
-            while let Ok(job) = job_rx.recv() {
-                let result = write_one(&dir, &journal_dir, retry, retain, &mut last, &fault, job);
+            // The last successfully written snapshot — what a delta's
+            // parent must equal.
+            let mut tip = init_tip;
+            let mut injected =
+                |seq: u64, attempt: u32| fault.as_ref().is_some_and(|hook| hook(seq, attempt));
+            while let Ok(snap) = job_rx.recv() {
+                let result = store.write(&snap, tip, &mut injected);
+                if let Ok((_, fnv)) = result.outcome {
+                    tip = Some((result.seq, fnv));
+                }
                 if result_tx.send(result).is_err() {
                     break;
                 }
@@ -936,126 +887,25 @@ impl Drop for SnapshotWriter {
     }
 }
 
-/// One writer-thread job: serialize, verify chain order, write with
-/// retries, prune on success.
-fn write_one(
-    dir: &Path,
-    journal_dir: &Path,
-    retry: RetryPolicy,
-    retain: usize,
-    last: &mut Option<(u64, u64)>,
-    fault: &Option<AsyncFaultHook>,
-    job: SnapJob,
-) -> SnapResult {
-    let t0 = Instant::now();
-    let (seq, is_delta, parent_seq, payload) = match &job {
-        SnapJob::Full { seq, ckpt } => (*seq, false, None, serde_json::to_string(ckpt.as_ref())),
-        SnapJob::Delta {
-            seq,
-            parent_seq,
-            delta,
-        } => (
-            *seq,
-            true,
-            Some(*parent_seq),
-            serde_json::to_string(delta.as_ref()),
-        ),
-    };
-    let mut result = SnapResult {
-        seq,
-        is_delta,
-        ok: false,
-        bytes: 0,
-        wall_micros: 0,
-        retries: 0,
-        fnv: 0,
-    };
-    let Ok(payload) = payload else {
-        result.wall_micros = t0.elapsed().as_micros() as u64;
-        return result;
-    };
-    // A delta must chain to the writer's last success; after any
-    // failure the queued descendants are rejected rather than written
-    // with a dangling parent (the stream falls back to a full base).
-    let parent = match parent_seq {
-        Some(p) => match *last {
-            Some((last_seq, last_fnv)) if last_seq == p => Some(last_fnv),
-            _ => {
-                result.wall_micros = t0.elapsed().as_micros() as u64;
-                return result;
-            }
-        },
-        None => None,
-    };
-    let fnv = fnv1a64(payload.as_bytes());
-    let max_attempts = retry.max_attempts.max(1);
-    let mut attempt = 0u32;
-    loop {
-        attempt += 1;
-        let injected = fault.as_ref().is_some_and(|hook| hook(seq, attempt));
-        let outcome = if injected {
-            Err(io_err(
-                "write checkpoint",
-                &dir.join(checkpoint_name(seq)),
-                std::io::Error::new(
-                    std::io::ErrorKind::Interrupted,
-                    "injected transient write failure",
-                ),
-            ))
-        } else if let Some(parent_fnv) = parent {
-            // Invariant: `parent` is `Some` exactly for delta jobs.
-            write_delta_file(
-                dir,
-                &payload,
-                seq,
-                parent_seq.expect("delta job"),
-                parent_fnv,
-            )
-        } else {
-            write_checkpoint_file(dir, &payload, seq)
-        };
-        match outcome {
-            Ok(bytes) => {
-                *last = Some((seq, fnv));
-                prune_snapshots(dir, journal_dir, retain);
-                result.ok = true;
-                result.bytes = bytes;
-                result.fnv = fnv;
-                result.wall_micros = t0.elapsed().as_micros() as u64;
-                return result;
-            }
-            Err(_) => {
-                result.retries += 1;
-                if attempt >= max_attempts {
-                    result.wall_micros = t0.elapsed().as_micros() as u64;
-                    return result;
-                }
-                let backoff = retry.backoff_base_ms << (attempt - 1);
-                std::thread::sleep(std::time::Duration::from_millis(backoff));
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // Recovery supervisor
 // ---------------------------------------------------------------------
 
 /// A [`StreamAnalysis`] wrapped in the write-ahead discipline: every
-/// event is journaled before the engine sees it, checkpoints are written
+/// event is journaled before the engine sees it, snapshots are written
 /// atomically on a configurable cadence, and [`DurableStream::recover`]
 /// rebuilds the exact engine state after a crash. See the module docs
 /// for the full contract.
 pub struct DurableStream<'a> {
     engine: StreamAnalysis<'a>,
-    dir: PathBuf,
+    store: SnapshotStore,
     journal: JournalWriter,
     policy: DurabilityPolicy,
     fault_hook: Option<CheckpointFaultHook>,
     async_fault_hook: Option<AsyncFaultHook>,
     counters: DurabilityCounters,
     last_checkpoint_seq: u64,
-    /// The off-thread writer, spawned lazily on the first offloaded
+    /// The off-thread writer, spawned lazily on the first cadence
     /// snapshot and shut down before any synchronous write.
     writer: Option<SnapshotWriter>,
     /// An offloaded write exhausted its retries: every later cadence
@@ -1067,8 +917,8 @@ pub struct DurableStream<'a> {
     /// still in flight on the writer thread. Settled whenever the
     /// writer is flushed, which every synchronous write does first.
     tip_fnv: Option<u64>,
-    /// Consecutive deltas since the last full base.
-    deltas_since_full: u64,
+    /// Consecutive deltas since the last base.
+    deltas_since_base: u64,
     /// When this process's durable run began (create or recover) —
     /// denominator for [`DurabilityCounters::snapshot_stall_rate_per_sec`].
     started: Instant,
@@ -1093,28 +943,13 @@ impl<'a> DurableStream<'a> {
             });
         }
         let engine = StreamAnalysis::try_new(data, config)?;
-        let journal = JournalWriter::new(
-            journal_dir,
-            1,
-            policy.segment_max_records,
-            policy.fsync_every_n_records,
-        );
-        Ok(DurableStream {
+        Ok(DurableStream::assemble(
             engine,
-            dir: dir.to_path_buf(),
-            journal,
+            dir,
             policy,
-            fault_hook: None,
-            async_fault_hook: None,
-            counters: DurabilityCounters::default(),
-            last_checkpoint_seq: 0,
-            writer: None,
-            async_dead: false,
-            tip_seq: None,
-            tip_fnv: None,
-            deltas_since_full: 0,
-            started: Instant::now(),
-        })
+            DurabilityCounters::default(),
+            None,
+        ))
     }
 
     /// Rebuild a durable stream from whatever `dir` holds: the newest
@@ -1145,31 +980,31 @@ impl<'a> DurableStream<'a> {
 
         let mut report = RecoveryReport::default();
         let mut engine: Option<StreamAnalysis<'a>> = None;
-        let mut tip_fnv: Option<u64> = None;
+        let mut tip: Option<(u64, u64)> = None;
         let snaps = list_snapshots(dir)?;
-        for tip in snaps.iter().rev() {
-            match restore_chain(data, &snaps, tip) {
+        for candidate in snaps.iter().rev() {
+            match restore_chain(data, &snaps, candidate) {
                 Ok((e, fnv, chain_len)) => {
                     observe::narrate(|| {
                         format!(
                             "recovery: restored snapshot seq {} ({chain_len} deltas on the base)",
-                            tip.seq
+                            candidate.0
                         )
                     });
-                    report.checkpoint_seq = Some(tip.seq);
+                    report.checkpoint_seq = Some(candidate.0);
                     report.chain_length = chain_len;
-                    tip_fnv = Some(fnv);
+                    tip = Some((candidate.0, fnv));
                     engine = Some(e);
                     break;
                 }
                 Err(err) => {
                     observe::narrate(|| {
-                        format!("recovery: skipping snapshot seq {}: {err}", tip.seq)
+                        format!("recovery: skipping snapshot seq {}: {err}", candidate.0)
                     });
                     report.checkpoints_rejected += 1;
                     report
                         .rejected
-                        .push(format!("{}: {err}", tip.path.display()));
+                        .push(format!("{}: {err}", candidate.1.display()));
                 }
             }
         }
@@ -1212,16 +1047,6 @@ impl<'a> DurableStream<'a> {
             )
         });
 
-        let last_checkpoint_seq = report.checkpoint_seq.unwrap_or(0);
-        // New records go to a fresh segment starting right after the
-        // replayed prefix; the torn tail (if any) stays behind in the old
-        // segment, and the next recovery's contiguity rule handles it.
-        let journal = JournalWriter::new(
-            journal_dir,
-            report.resumed_at_seq + 1,
-            policy.segment_max_records,
-            policy.fsync_every_n_records,
-        );
         let counters = DurabilityCounters {
             restores: 1,
             events_replayed: replay.replayed,
@@ -1229,30 +1054,59 @@ impl<'a> DurableStream<'a> {
             chain_length_at_recovery: report.chain_length,
             ..DurabilityCounters::default()
         };
-        let mut stream = DurableStream {
-            engine,
-            dir: dir.to_path_buf(),
-            journal,
-            policy,
-            fault_hook: None,
-            async_fault_hook: None,
-            counters,
-            last_checkpoint_seq,
-            writer: None,
-            async_dead: false,
-            tip_seq: report.checkpoint_seq,
-            tip_fnv,
-            deltas_since_full: report.chain_length,
-            started: Instant::now(),
-        };
+        let mut stream = DurableStream::assemble(engine, dir, policy, counters, tip);
         if replay.replayed > 0 {
             report.compacted = stream.compact_after_recovery();
         }
         Ok((stream, report))
     }
 
+    /// Wrap an engine whose newest durable snapshot is `tip` (sequence,
+    /// payload hash), `counters.chain_length_at_recovery` deltas above
+    /// its base. New journal records go to a fresh segment starting
+    /// right after the engine's position; after a recovery, the torn
+    /// tail (if any) stays behind in the old segment, and the next
+    /// recovery's contiguity rule handles it.
+    fn assemble(
+        engine: StreamAnalysis<'a>,
+        dir: &Path,
+        policy: DurabilityPolicy,
+        counters: DurabilityCounters,
+        tip: Option<(u64, u64)>,
+    ) -> Self {
+        let journal_dir = dir.join("journal");
+        let journal = JournalWriter::new(
+            journal_dir.clone(),
+            engine.events_ingested() + 1,
+            policy.segment_max_records,
+            policy.fsync_every_n_records,
+        );
+        DurableStream {
+            engine,
+            store: SnapshotStore {
+                dir: dir.to_path_buf(),
+                journal_dir,
+                retry: policy.retry,
+                retain: policy.retain_checkpoints,
+            },
+            journal,
+            policy,
+            fault_hook: None,
+            async_fault_hook: None,
+            counters,
+            last_checkpoint_seq: tip.map_or(0, |(seq, _)| seq),
+            writer: None,
+            async_dead: false,
+            tip_seq: tip.map(|(seq, _)| seq),
+            tip_fnv: tip.map(|(_, fnv)| fnv),
+            // The restored tip's chain: the next deltas extend it.
+            deltas_since_base: counters.chain_length_at_recovery,
+            started: Instant::now(),
+        }
+    }
+
     /// Snapshot compaction: fold the journal prefix this recovery just
-    /// replayed into a fresh checkpoint at the resumed sequence, then
+    /// replayed into a fresh base at the resumed sequence, then
     /// let the usual retention pass prune checkpoints and the journal
     /// segments every retained checkpoint has absorbed. Repeated
     /// crash/recover cycles therefore pay the replay cost once per
@@ -1322,8 +1176,8 @@ impl<'a> DurableStream<'a> {
     /// crash between the two replays the event on recovery, which is
     /// idempotent because replay re-derives the identical outcome), then
     /// snapshot if the cadence says so — offloaded to the writer thread
-    /// unless the policy (or an installed fault hook, or a dead writer)
-    /// forces the synchronous path. Time the ingest thread spends in the
+    /// unless an installed fault hook or a dead writer forces the
+    /// synchronous path. Time the ingest thread spends in the
     /// snapshot section is accounted in
     /// [`DurabilityCounters::ingest_stall_micros`].
     pub fn ingest(&mut self, event: &StreamEvent) -> Result<IngestOutcome, RecoveryError> {
@@ -1341,45 +1195,62 @@ impl<'a> DurableStream<'a> {
         Ok(outcome)
     }
 
-    /// Whether the next snapshot may be an incremental delta: the policy
-    /// enables chains, the cadence has room before the next full base,
-    /// and there is a parent snapshot strictly behind the current
-    /// position to chain to.
+    /// Whether the next snapshot may be a delta: the base it would chain
+    /// to has room for one more delta under
+    /// [`DurabilityPolicy::max_chain_len`], and there is a parent
+    /// snapshot strictly behind the current position to chain to.
     fn delta_allowed(&self, seq: u64) -> bool {
-        self.policy.full_every_n_checkpoints > 1
-            && self.policy.max_chain_len > 0
-            && self.deltas_since_full + 1 < self.policy.full_every_n_checkpoints
-            && self.deltas_since_full < self.policy.max_chain_len
+        self.deltas_since_base < self.policy.max_chain_len
             && self.tip_seq.is_some_and(|tip| tip < seq)
     }
 
-    /// Fold one writer-thread result into the counters and chain state.
-    fn note_result(&mut self, r: SnapResult) {
+    /// The ingest thread captured a snapshot at `seq` and handed it off
+    /// (or wrote it): start the next diff window there.
+    fn advance_chain(&mut self, seq: u64, is_delta: bool) {
+        self.engine.mark_clean();
+        self.last_checkpoint_seq = seq;
+        self.tip_seq = Some(seq);
+        self.tip_fnv = None;
+        self.deltas_since_base = if is_delta {
+            self.deltas_since_base + 1
+        } else {
+            0
+        };
+    }
+
+    /// Fold one write's result into the counters, and settle the tip
+    /// hash if it was the newest snapshot.
+    fn note_result(&mut self, r: &SnapResult) {
         self.counters.checkpoint_retries += r.retries;
         self.counters.checkpoint_write_micros_max =
             self.counters.checkpoint_write_micros_max.max(r.wall_micros);
-        if r.ok {
+        if let Ok((bytes, fnv)) = r.outcome {
             self.counters.checkpoints_written += 1;
-            self.counters.checkpoint_bytes_last = r.bytes;
+            self.counters.checkpoint_bytes_last = bytes;
             if r.is_delta {
                 self.counters.deltas_written += 1;
-                self.counters.delta_bytes_total += r.bytes;
+                self.counters.delta_bytes_total += bytes;
             } else {
-                self.counters.full_bytes_total += r.bytes;
+                self.counters.full_bytes_total += bytes;
             }
             if self.tip_seq == Some(r.seq) {
-                self.tip_fnv = Some(r.fnv);
+                self.tip_fnv = Some(fnv);
             }
-        } else {
-            // The writer gave up on this snapshot (and rejects every
-            // queued descendant). Clearing the tip forces the next
-            // snapshot to be a full base on the synchronous path; the
-            // journal still covers everything since the last durable
-            // snapshot, so nothing is lost.
+        }
+    }
+
+    /// Fold one writer-thread result. A failure means the writer gave up
+    /// on this snapshot (and rejects every queued descendant): clearing
+    /// the tip forces the next snapshot to be a base on the synchronous
+    /// path. The journal still covers everything since the last durable
+    /// snapshot, so nothing is lost.
+    fn note_async_result(&mut self, r: SnapResult) {
+        self.note_result(&r);
+        if r.outcome.is_err() {
             self.async_dead = true;
             self.tip_seq = None;
             self.tip_fnv = None;
-            self.deltas_since_full = 0;
+            self.deltas_since_base = 0;
         }
     }
 
@@ -1394,7 +1265,7 @@ impl<'a> DurableStream<'a> {
             drained.push(r);
         }
         for r in drained {
-            self.note_result(r);
+            self.note_async_result(r);
         }
     }
 
@@ -1403,7 +1274,7 @@ impl<'a> DurableStream<'a> {
     fn flush_writer(&mut self) {
         if let Some(mut writer) = self.writer.take() {
             for r in writer.shutdown() {
-                self.note_result(r);
+                self.note_async_result(r);
             }
         }
     }
@@ -1411,9 +1282,10 @@ impl<'a> DurableStream<'a> {
     /// A cadence-due snapshot. The offloaded path captures a frozen
     /// in-memory state view, hands it to the writer thread, and returns
     /// immediately; backpressure (a full hand-off queue) blocks on one
-    /// result and is counted. Synchronous writes handle everything else.
+    /// result and is counted. Synchronous writes handle an installed
+    /// fault hook and a dead writer.
     fn cadence_checkpoint(&mut self) -> Result<(), RecoveryError> {
-        if !self.policy.offload_snapshots || self.fault_hook.is_some() {
+        if self.fault_hook.is_some() {
             self.flush_writer();
             return self.checkpoint_sync(false);
         }
@@ -1437,7 +1309,7 @@ impl<'a> DurableStream<'a> {
                 }
             };
             match received {
-                Some(r) => self.note_result(r),
+                Some(r) => self.note_async_result(r),
                 None => self.async_dead = true,
             }
         }
@@ -1448,44 +1320,20 @@ impl<'a> DurableStream<'a> {
         }
         let seq = self.engine.events_ingested();
         let use_delta = self.delta_allowed(seq);
-        let job = if use_delta {
-            SnapJob::Delta {
-                seq,
-                // Invariant: `delta_allowed` requires a tip.
-                parent_seq: self.tip_seq.expect("delta requires a parent"),
-                delta: Box::new(self.engine.checkpoint_delta()),
-            }
+        let snap = if use_delta {
+            self.engine.checkpoint_delta()
         } else {
-            SnapJob::Full {
-                seq,
-                ckpt: Box::new(self.engine.checkpoint()),
-            }
+            self.engine.checkpoint()
         };
-        if self.writer.is_none() {
-            self.writer = Some(SnapshotWriter::spawn(
-                self.dir.clone(),
-                self.journal.dir.clone(),
-                self.policy.retry,
-                self.policy.retain_checkpoints,
+        let writer = self.writer.get_or_insert_with(|| {
+            SnapshotWriter::spawn(
+                self.store.clone(),
                 self.tip_seq.zip(self.tip_fnv),
                 self.async_fault_hook.clone(),
-            ));
-        }
-        let send_failed = {
-            // Invariant: spawned above.
-            let writer = self.writer.as_mut().expect("writer spawned above");
-            match writer.tx.as_ref() {
-                Some(tx) => match tx.send(job) {
-                    Ok(()) => {
-                        writer.pending += 1;
-                        false
-                    }
-                    Err(_) => true,
-                },
-                None => true,
-            }
-        };
-        if send_failed {
+            )
+        });
+        let sent = writer.tx.as_ref().is_some_and(|tx| tx.send(snap).is_ok());
+        if !sent {
             // The writer shut down underneath us; fall back. The moved
             // capture is lost, but the sync path recaptures fresh state.
             self.counters.snapshot_sync_fallbacks += 1;
@@ -1493,15 +1341,8 @@ impl<'a> DurableStream<'a> {
             self.flush_writer();
             return self.checkpoint_sync(false);
         }
-        self.engine.mark_clean();
-        self.last_checkpoint_seq = seq;
-        self.tip_seq = Some(seq);
-        self.tip_fnv = None;
-        self.deltas_since_full = if use_delta {
-            self.deltas_since_full + 1
-        } else {
-            0
-        };
+        writer.pending += 1;
+        self.advance_chain(seq, use_delta);
         Ok(())
     }
 
@@ -1515,100 +1356,34 @@ impl<'a> DurableStream<'a> {
         self.checkpoint_sync(false)
     }
 
-    /// The synchronous write path shared by [`DurableStream::checkpoint_now`],
+    /// The synchronous snapshot shared by [`DurableStream::checkpoint_now`],
     /// the sync-fallback ladder, and post-recovery compaction
-    /// (`force_full` resets the chain on a fresh base).
-    fn checkpoint_sync(&mut self, force_full: bool) -> Result<(), RecoveryError> {
+    /// (`force_base` starts a new chain). It writes through the same
+    /// [`SnapshotStore::write`] as the writer thread, with the stateful
+    /// [`CheckpointFaultHook`].
+    fn checkpoint_sync(&mut self, force_base: bool) -> Result<(), RecoveryError> {
         let seq = self.engine.events_ingested();
         // A synchronous delta needs the parent hash on this thread; the
         // writer was flushed before every sync write, so a known tip
         // hash is exactly chain-consistency.
-        let use_delta = !force_full && self.delta_allowed(seq) && self.tip_fnv.is_some();
-        let payload = if use_delta {
-            serde_json::to_string(&self.engine.checkpoint_delta())
+        let use_delta = !force_base && self.delta_allowed(seq) && self.tip_fnv.is_some();
+        let snap = if use_delta {
+            self.engine.checkpoint_delta()
         } else {
-            serde_json::to_string(&self.engine.checkpoint())
+            self.engine.checkpoint()
         };
-        let payload = payload.map_err(|e| {
-            io_err(
-                "serialize checkpoint",
-                &self.dir,
-                std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()),
-            )
-        })?;
-        let max_attempts = self.policy.retry.max_attempts.max(1);
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            let injected = self
-                .fault_hook
-                .as_mut()
-                .is_some_and(|hook| hook(seq, attempt));
-            let outcome = if injected {
-                Err(io_err(
-                    "write checkpoint",
-                    &self.dir.join(checkpoint_name(seq)),
-                    std::io::Error::new(
-                        std::io::ErrorKind::Interrupted,
-                        "injected transient write failure",
-                    ),
-                ))
-            } else {
-                let t = Instant::now();
-                let write = if use_delta {
-                    write_delta_file(
-                        &self.dir,
-                        &payload,
-                        seq,
-                        // Invariant: `use_delta` requires both.
-                        self.tip_seq.expect("delta requires a parent"),
-                        self.tip_fnv.expect("sync delta requires the parent hash"),
-                    )
-                } else {
-                    write_checkpoint_file(&self.dir, &payload, seq)
-                };
-                write.map(|bytes| (bytes, t.elapsed()))
-            };
-            match outcome {
-                Ok((bytes, wall)) => {
-                    self.counters.checkpoints_written += 1;
-                    self.counters.checkpoint_bytes_last = bytes;
-                    self.counters.checkpoint_write_micros_max = self
-                        .counters
-                        .checkpoint_write_micros_max
-                        .max(wall.as_micros() as u64);
-                    if use_delta {
-                        self.counters.deltas_written += 1;
-                        self.counters.delta_bytes_total += bytes;
-                    } else {
-                        self.counters.full_bytes_total += bytes;
-                    }
-                    self.engine.mark_clean();
-                    self.last_checkpoint_seq = seq;
-                    self.tip_seq = Some(seq);
-                    self.tip_fnv = Some(fnv1a64(payload.as_bytes()));
-                    self.deltas_since_full = if use_delta {
-                        self.deltas_since_full + 1
-                    } else {
-                        0
-                    };
-                    prune_snapshots(&self.dir, &self.journal.dir, self.policy.retain_checkpoints);
-                    return Ok(());
-                }
-                Err(e) => {
-                    self.counters.checkpoint_retries += 1;
-                    if attempt >= max_attempts {
-                        return Err(RecoveryError::RetriesExhausted {
-                            op: "write checkpoint",
-                            attempts: attempt,
-                            last_error: e.to_string(),
-                        });
-                    }
-                    let backoff = self.policy.retry.backoff_base_ms << (attempt - 1);
-                    std::thread::sleep(std::time::Duration::from_millis(backoff));
-                }
-            }
+        let tip = self.tip_seq.zip(self.tip_fnv);
+        let mut no_fault = |_: u64, _: u32| false;
+        let fault: &mut dyn FnMut(u64, u32) -> bool = match self.fault_hook.as_mut() {
+            Some(hook) => hook.as_mut(),
+            None => &mut no_fault,
+        };
+        let r = self.store.write(&snap, tip, fault);
+        if r.outcome.is_ok() {
+            self.advance_chain(seq, use_delta);
         }
+        self.note_result(&r);
+        r.outcome.map(|_| ())
     }
 
     /// End of stream: flush any in-flight offloaded snapshots,
@@ -1627,56 +1402,48 @@ impl<'a> DurableStream<'a> {
     }
 }
 
-/// Best-effort chain-aware retention: keep the newest
-/// `retain` full **bases** and every delta that (transitively) chains
-/// to a kept base, then drop journal segments fully absorbed by even
-/// the oldest kept snapshot. A base is therefore never deleted while a
-/// retained delta still depends on it, and orphaned deltas (whose base
-/// was dropped) go with their base. Failures here cost disk, not
-/// correctness, so they are ignored.
+/// Best-effort chain-aware retention: keep the newest `retain` **bases**
+/// and every delta that (transitively) chains to a kept base, then drop
+/// journal segments fully absorbed by even the oldest kept snapshot. A
+/// base is therefore never deleted while a retained delta still depends
+/// on it, and orphaned deltas (whose base was dropped) go with their
+/// base. Failures here cost disk, not correctness, so they are ignored.
 fn prune_snapshots(dir: &Path, journal_dir: &Path, retain: usize) {
     let Ok(snaps) = list_snapshots(dir) else {
         return;
     };
     let retain = retain.max(1);
-    let bases: Vec<u64> = snaps
+    // Parent pointers from a cheap header peek. A file with an
+    // unreadable header resolves to no root and is dropped with the
+    // chains (recovery would reject it anyway).
+    let parents: std::collections::BTreeMap<u64, Option<u64>> = snaps
         .iter()
-        .filter(|s| s.kind == SnapKind::Full)
-        .map(|s| s.seq)
+        .filter_map(|(seq, path)| peek_parent_seq(path).map(|parent| (*seq, parent)))
+        .collect();
+    let bases: Vec<u64> = parents
+        .iter()
+        .filter(|(_, parent)| parent.is_none())
+        .map(|(&seq, _)| seq)
         .collect();
     if bases.len() <= retain {
         return;
     }
-    let kept_bases: std::collections::BTreeSet<u64> =
-        bases[bases.len() - retain..].iter().copied().collect();
-    let base_seqs: std::collections::BTreeSet<u64> = bases.iter().copied().collect();
-    // Delta parent pointers, from a cheap header peek. An unreadable
-    // header resolves to no root, and the delta is dropped with its
-    // chain (recovery would reject it anyway).
-    let parents: std::collections::BTreeMap<u64, u64> = snaps
-        .iter()
-        .filter(|s| s.kind == SnapKind::Delta)
-        .filter_map(|s| peek_parent_seq(&s.path).map(|p| (s.seq, p)))
-        .collect();
+    let kept_bases = &bases[bases.len() - retain..];
     let root_of = |mut seq: u64| -> Option<u64> {
         for _ in 0..=snaps.len() {
-            if base_seqs.contains(&seq) {
-                return Some(seq);
+            match parents.get(&seq)? {
+                None => return Some(seq),
+                Some(parent) => seq = *parent,
             }
-            seq = *parents.get(&seq)?;
         }
         None
     };
     let mut oldest_kept = u64::MAX;
-    for snap in &snaps {
-        let keep = match snap.kind {
-            SnapKind::Full => kept_bases.contains(&snap.seq),
-            SnapKind::Delta => root_of(snap.seq).is_some_and(|root| kept_bases.contains(&root)),
-        };
-        if keep {
-            oldest_kept = oldest_kept.min(snap.seq);
+    for (seq, path) in &snaps {
+        if root_of(*seq).is_some_and(|root| kept_bases.contains(&root)) {
+            oldest_kept = oldest_kept.min(*seq);
         } else {
-            let _ = fs::remove_file(&snap.path);
+            let _ = fs::remove_file(path);
         }
     }
     if oldest_kept == u64::MAX {
@@ -1743,12 +1510,12 @@ mod tests {
         }
         let ckpt = stream.checkpoint();
         let payload = serde_json::to_string(&ckpt).unwrap();
-        let bytes = write_checkpoint_file(tmp.path(), &payload, ckpt.seq()).unwrap();
+        let bytes = write_checkpoint_file(tmp.path(), &payload, ckpt.seq(), None).unwrap();
         assert!(bytes > payload.len() as u64);
         let listed = list_snapshots(tmp.path()).unwrap();
         assert_eq!(listed.len(), 1);
-        assert_eq!(listed[0].seq, ckpt.seq());
-        let loaded = load_checkpoint(&listed[0].path).unwrap();
+        assert_eq!(listed[0].0, ckpt.seq());
+        let loaded = load_checkpoint(&listed[0].1).unwrap();
         assert_eq!(loaded.seq(), ckpt.seq());
         assert_eq!(
             serde_json::to_string(&loaded).unwrap(),
@@ -1763,7 +1530,7 @@ mod tests {
         let data = run(&ScenarioParams::tiny(4));
         let stream = StreamAnalysis::new(&data, AnalysisConfig::default());
         let payload = serde_json::to_string(&stream.checkpoint()).unwrap();
-        write_checkpoint_file(tmp.path(), &payload, 0).unwrap();
+        write_checkpoint_file(tmp.path(), &payload, 0, None).unwrap();
         let path = tmp.path().join(checkpoint_name(0));
 
         // Flip one payload byte: hash mismatch.
@@ -1779,7 +1546,7 @@ mod tests {
         // Truncate: torn payload.
         let full = {
             fs::write(&path, []).unwrap();
-            write_checkpoint_file(tmp.path(), &payload, 0).unwrap();
+            write_checkpoint_file(tmp.path(), &payload, 0, None).unwrap();
             fs::read(&path).unwrap()
         };
         fs::write(&path, &full[..full.len() / 2]).unwrap();
@@ -1983,11 +1750,10 @@ mod tests {
             checkpoint_interval: 20,
             segment_max_records: 16,
             retain_checkpoints: 2,
-            // Full-only: this test pins the pre-chain degenerate
+            // Bases only: this test pins the degenerate chain-free
             // behavior (newest-N files); chain-aware retention is
             // covered by `tests/crash_recovery.rs`.
-            full_every_n_checkpoints: 0,
-            offload_snapshots: false,
+            max_chain_len: 0,
             ..DurabilityPolicy::default()
         };
         let mut durable =
@@ -1995,10 +1761,13 @@ mod tests {
         for e in &events[..events.len().min(200)] {
             durable.ingest(e).unwrap();
         }
+        // Dropping joins the writer thread, so every queued snapshot
+        // (and its pruning pass) has landed.
+        drop(durable);
         let ckpts = list_snapshots(tmp.path()).unwrap();
         assert_eq!(ckpts.len(), 2, "retention keeps exactly the newest two");
         let segments = list_segments(&tmp.path().join("journal")).unwrap();
-        let oldest_kept = ckpts[0].seq;
+        let oldest_kept = ckpts[0].0;
         // Every remaining segment except the last still carries records
         // newer than the oldest retained checkpoint.
         for (i, (first, _)) in segments.iter().enumerate() {
@@ -2026,11 +1795,9 @@ mod tests {
             checkpoint_interval: 13,
             segment_max_records: 64,
             retain_checkpoints: 2,
-            full_every_n_checkpoints: 4,
             max_chain_len: 3,
             ..DurabilityPolicy::default()
         };
-        assert!(policy.offload_snapshots, "offload is the default");
         let kill_at = events.len() * 3 / 4;
         {
             let mut durable =
@@ -2043,7 +1810,9 @@ mod tests {
         }
         let snaps = list_snapshots(tmp.path()).unwrap();
         assert!(
-            snaps.iter().any(|s| s.kind == SnapKind::Delta),
+            snaps
+                .iter()
+                .any(|(_, path)| matches!(peek_parent_seq(path), Some(Some(_)))),
             "a chain policy at this cadence writes deltas before the kill"
         );
         let (mut durable, report) =
@@ -2061,7 +1830,7 @@ mod tests {
     }
 
     /// Exhausting the off-thread writer's retries is not fatal: the
-    /// stream falls back to synchronous full snapshots, keeps running,
+    /// stream falls back to synchronous snapshots, keeps running,
     /// and counts the fallback.
     #[test]
     fn async_write_exhaustion_falls_back_to_sync() {
@@ -2097,9 +1866,9 @@ mod tests {
         assert!(d.checkpoint_retries > 0, "failed attempts are counted");
     }
 
-    /// `checkpoint_delta` + `apply_delta` round-trip at the engine
-    /// level: applying the delta to a restored parent reproduces the
-    /// exact serialized full state.
+    /// `checkpoint_delta` + `apply` round-trip at the engine level:
+    /// applying the delta to a restored parent reproduces the exact
+    /// serialized base.
     #[test]
     fn delta_capture_replays_onto_parent_exactly() {
         let data = run(&ScenarioParams::tiny(14));
@@ -2116,14 +1885,14 @@ mod tests {
             live.ingest(e);
         }
         let delta = live.checkpoint_delta();
-        assert_eq!(delta.parent_seq(), base.seq());
+        assert_eq!(delta.parent_seq(), Some(base.seq()));
         // The delta carries only lanes touched since the mark — a strict
         // subset of the full state (lanes created after the base count
         // as touched, so the bound is against the CURRENT lane set).
         assert!(delta.lane_count() <= live.checkpoint().lane_count());
         let expected = serde_json::to_string(&live.checkpoint()).unwrap();
         let mut rebuilt = StreamAnalysis::restore(&data, base).unwrap();
-        rebuilt.apply_delta(delta).unwrap();
+        rebuilt.apply(delta).unwrap();
         assert_eq!(
             expected,
             serde_json::to_string(&rebuilt.checkpoint()).unwrap()
@@ -2146,6 +1915,6 @@ mod tests {
         }
         let delta = live.checkpoint_delta();
         let mut fresh = StreamAnalysis::new(&data, AnalysisConfig::default());
-        assert!(fresh.apply_delta(delta).is_err());
+        assert!(fresh.apply(delta).is_err());
     }
 }

@@ -15,7 +15,8 @@
 //!
 //! This module owns only what is genuinely streaming-specific: the
 //! watermark, late-event rejection, quarantine admission, micro-batch
-//! accounting, wall-clock attribution, and checkpoint capture/restore.
+//! accounting, wall-clock attribution, and snapshot capture and apply
+//! (one [`StreamSnapshot`] kind: a base is a snapshot with no parent).
 //! Every semantic stage — dedup, both-ends merge, reconstruction,
 //! sanitization, flap tracking, segment close, matching — lives in the
 //! kernel and is executed by the per-link `kernel::LinkLane`
@@ -192,83 +193,34 @@ pub struct StreamResult {
     pub report: PipelineReport,
 }
 
-/// A complete, serializable image of a [`StreamAnalysis`] mid-stream:
-/// every lane's state machines, the watermark, the resolved-message
-/// archive, and all accounting counters — everything [`StreamAnalysis::restore`]
-/// needs to continue the run as if it had never stopped. Wall-clock
-/// timings are deliberately *not* captured: they describe the process
-/// that died, not the state, and they are not part of the
-/// [`StreamOutput`] equivalence surface.
+/// A serializable image of a [`StreamAnalysis`] mid-stream — the one
+/// snapshot kind. A **base** (no parent) holds the whole engine: every
+/// lane whole, the full resolved-message archive (a tail over an empty
+/// base), the watermark and all accounting counters. A **delta** holds
+/// only what changed since the parent snapshot at `parent_seq`: the lanes
+/// the kernel dirtied, the message tail appended since the parent, and
+/// the (cheap, always-copied) scalar counters and watermark.
+/// [`StreamAnalysis::apply`] on top of the parent's state reproduces
+/// exactly the state a base at `seq` would have restored.
+///
+/// Wall-clock timings are deliberately *not* captured: they describe
+/// the process that died, not the state, and they are not part of the
+/// [`StreamOutput`] equivalence surface. Every snapshot carries the
+/// configuration, but only a base's is used: the configuration cannot
+/// change mid-run, so a chain's base governs it.
 ///
 /// Serialization is deterministic for a given state (maps are flattened
-/// sorted), so a checkpoint's bytes can carry an integrity hash — see
+/// sorted), so a snapshot's bytes can carry an integrity hash — see
 /// [`crate::recovery`] for the durable file format around this payload.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct StreamCheckpoint {
+pub struct StreamSnapshot {
     seq: u64,
+    parent_seq: Option<u64>,
     config: AnalysisConfig,
     watermark: Option<Timestamp>,
-    messages: Vec<ResolvedMessage>,
-    resolve_stats: SyslogResolveStats,
-    is_stats: IsisMergeStats,
-    ip_stats: IsisMergeStats,
-    events_syslog: u64,
-    events_isis: u64,
-    batches: u64,
-    late_events: u64,
-    open_items: u64,
-    open_items_hwm: u64,
-    quarantined_syslog: u64,
-    quarantined_isis: u64,
-    lanes: Vec<LaneSnapshot>,
-}
-
-impl StreamCheckpoint {
-    /// Events the captured engine had consumed — the stream position
-    /// this checkpoint represents. Resuming means feeding events from
-    /// source position `seq()` onward (0-based), or replaying journal
-    /// records with sequence numbers `> seq()`.
-    pub fn seq(&self) -> u64 {
-        self.seq
-    }
-
-    /// How many lanes the capture holds (diagnostics only).
-    pub fn lane_count(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// The analysis configuration the captured run was using.
-    pub fn config(&self) -> &AnalysisConfig {
-        &self.config
-    }
-
-    /// The captured watermark (maximum event time seen), if any event
-    /// had been accepted.
-    pub fn watermark(&self) -> Option<Timestamp> {
-        self.watermark
-    }
-}
-
-/// An **incremental** image of a [`StreamAnalysis`]: everything that
-/// changed since the parent snapshot at `parent_seq` — the lanes whose
-/// state machines were touched (the kernel's dirty-lane flags), the
-/// resolved-message *tail* appended since the parent, and the (cheap,
-/// always-copied) scalar counters and watermark. Applying a delta on top
-/// of the engine state its parent captured reproduces exactly the state a
-/// full [`StreamCheckpoint`] at `seq` would have restored.
-///
-/// A delta deliberately carries **no configuration**: a chain is anchored
-/// at a full base, the base's validated config governs the whole chain,
-/// and the configuration cannot change mid-run. The durable file format
-/// around this payload — the header chaining parent seq and parent hash —
-/// lives in [`crate::recovery`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct StreamDelta {
-    seq: u64,
-    parent_seq: u64,
-    watermark: Option<Timestamp>,
-    /// `kernel.messages.len()` at the parent capture; the guard that a
-    /// delta is only applied on top of the state it was diffed against.
+    /// `kernel.messages.len()` at the parent capture (0 for a base); the
+    /// guard that a snapshot is only applied on top of the state it was
+    /// diffed against.
     messages_base_len: u64,
     messages_tail: Vec<ResolvedMessage>,
     resolve_stats: SyslogResolveStats,
@@ -282,27 +234,32 @@ pub struct StreamDelta {
     open_items_hwm: u64,
     quarantined_syslog: u64,
     quarantined_isis: u64,
-    /// Only lanes dirtied since the parent capture, ascending by link
-    /// (the kernel map's iteration order), so serialization stays
-    /// deterministic for a given state. A lane that existed at the
-    /// parent ships as a [`LaneDelta::Tail`] — its bounded open state
-    /// plus only what its append-only history vectors grew — and a lane
-    /// born inside the window ships whole.
+    /// Ascending by link (the kernel map's iteration order), so
+    /// serialization stays deterministic for a given state. A base ships
+    /// every lane whole; a delta ships only lanes dirtied since the
+    /// parent — a lane that existed at the parent as a
+    /// [`LaneDelta::Tail`] (its bounded open state plus only what its
+    /// append-only history vectors grew), a lane born inside the window
+    /// whole.
     lanes: Vec<LaneDelta>,
 }
 
-impl StreamDelta {
-    /// Events the captured engine had consumed at this delta.
+impl StreamSnapshot {
+    /// Events the captured engine had consumed — the stream position
+    /// this snapshot represents. Resuming means feeding events from
+    /// source position `seq()` onward (0-based), or replaying journal
+    /// records with sequence numbers `> seq()`.
     pub fn seq(&self) -> u64 {
         self.seq
     }
 
-    /// The stream position of the snapshot this delta diffs against.
-    pub fn parent_seq(&self) -> u64 {
+    /// The stream position of the snapshot this one diffs against;
+    /// `None` for a base.
+    pub fn parent_seq(&self) -> Option<u64> {
         self.parent_seq
     }
 
-    /// How many dirtied lanes this delta carries (diagnostics only).
+    /// How many lanes the snapshot carries (diagnostics only).
     pub fn lane_count(&self) -> usize {
         self.lanes.len()
     }
@@ -310,16 +267,14 @@ impl StreamDelta {
 
 /// A set of per-link lanes in flight between two engines — the payload
 /// of live resharding ([`crate::cluster::ClusterMode::Reshard`]). Each
-/// lane ships as the same full `LaneDelta` encoding the incremental
-/// checkpoint layer uses, captured by [`StreamAnalysis::export_lanes`]
-/// on the source engine and replayed by
-/// [`StreamAnalysis::import_lanes`] on the destination. The lane list
-/// is ascending by link (export preserves the request order, which the
-/// cluster derives from the sorted link table), so serialization is
-/// deterministic for a given state.
+/// lane ships whole, captured by [`StreamAnalysis::export_lanes`] on the
+/// source engine and replayed by [`StreamAnalysis::import_lanes`] on the
+/// destination. The lane list is ascending by link (export preserves
+/// the request order, which the cluster derives from the sorted link
+/// table), so serialization is deterministic for a given state.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct LaneMigration {
-    lanes: Vec<LaneDelta>,
+    lanes: Vec<LaneSnapshot>,
 }
 
 impl LaneMigration {
@@ -427,43 +382,54 @@ impl<'a> StreamAnalysis<'a> {
         self.events_syslog + self.events_isis
     }
 
-    /// Capture a complete, serializable image of the engine's current
-    /// state. Restoring it via [`StreamAnalysis::restore`] and feeding
-    /// the rest of the stream yields a [`StreamOutput`] byte-identical
-    /// to never having stopped (`tests/crash_recovery.rs` is the
-    /// differential harness proving this at every event boundary).
-    pub fn checkpoint(&self) -> StreamCheckpoint {
-        StreamCheckpoint {
-            seq: self.events_ingested(),
-            config: self.kernel.config.clone(),
-            watermark: self.watermark,
-            messages: self.kernel.messages.clone(),
-            resolve_stats: self.kernel.resolve_stats,
-            is_stats: self.kernel.is_stats,
-            ip_stats: self.kernel.ip_stats,
-            events_syslog: self.events_syslog,
-            events_isis: self.events_isis,
-            batches: self.batches,
-            late_events: self.late_events,
-            open_items: self.kernel.open_items,
-            open_items_hwm: self.kernel.open_items_hwm,
-            quarantined_syslog: self.quarantined_syslog,
-            quarantined_isis: self.quarantined_isis,
-            lanes: self.kernel.lanes.values().map(LinkLane::snapshot).collect(),
-        }
+    /// Capture a base: a complete image of the engine's current state.
+    /// Restoring it via [`StreamAnalysis::restore`] and feeding the rest
+    /// of the stream yields a [`StreamOutput`] byte-identical to never
+    /// having stopped (`tests/crash_recovery.rs` is the differential
+    /// harness proving this at every event boundary).
+    pub fn checkpoint(&self) -> StreamSnapshot {
+        self.capture(None)
     }
 
-    /// Capture only what changed since the last [`StreamAnalysis::mark_clean`]:
-    /// dirtied lanes, the appended message tail, and the scalar counters.
-    /// The capture is pure — call `mark_clean` once the snapshot has been
-    /// handed off (or durably written) to start the next diff window.
-    pub fn checkpoint_delta(&self) -> StreamDelta {
-        StreamDelta {
+    /// Capture a delta: only what changed since the last
+    /// [`StreamAnalysis::mark_clean`] — dirtied lanes, the appended
+    /// message tail, and the scalar counters. The capture is pure — call
+    /// `mark_clean` once the snapshot has been handed off (or durably
+    /// written) to start the next diff window.
+    pub fn checkpoint_delta(&self) -> StreamSnapshot {
+        self.capture(Some(self.marked_seq))
+    }
+
+    /// The one capture: a base (`parent_seq == None`) diffs against the
+    /// empty engine, so it ships every lane whole and the whole message
+    /// archive; a delta diffs against the last `mark_clean`.
+    fn capture(&self, parent_seq: Option<u64>) -> StreamSnapshot {
+        let (messages_base_len, lanes) = match parent_seq {
+            None => (
+                0,
+                self.kernel
+                    .lanes
+                    .values()
+                    .map(|lane| LaneDelta::Full(lane.snapshot()))
+                    .collect(),
+            ),
+            Some(_) => (
+                self.messages_mark,
+                self.kernel
+                    .lanes
+                    .values()
+                    .filter(|lane| lane.dirty)
+                    .map(LinkLane::delta_snapshot)
+                    .collect(),
+            ),
+        };
+        StreamSnapshot {
             seq: self.events_ingested(),
-            parent_seq: self.marked_seq,
+            parent_seq,
+            config: self.kernel.config.clone(),
             watermark: self.watermark,
-            messages_base_len: self.messages_mark as u64,
-            messages_tail: self.kernel.messages[self.messages_mark..].to_vec(),
+            messages_base_len: messages_base_len as u64,
+            messages_tail: self.kernel.messages[messages_base_len..].to_vec(),
             resolve_stats: self.kernel.resolve_stats,
             is_stats: self.kernel.is_stats,
             ip_stats: self.kernel.ip_stats,
@@ -475,19 +441,13 @@ impl<'a> StreamAnalysis<'a> {
             open_items_hwm: self.kernel.open_items_hwm,
             quarantined_syslog: self.quarantined_syslog,
             quarantined_isis: self.quarantined_isis,
-            lanes: self
-                .kernel
-                .lanes
-                .values()
-                .filter(|lane| lane.dirty)
-                .map(LinkLane::delta_snapshot)
-                .collect(),
+            lanes,
         }
     }
 
     /// Start a new diff window: clear every lane's dirty flag and anchor
     /// the message tail at the current archive length. Called by the
-    /// durability layer right after each snapshot capture (full or
+    /// durability layer right after each snapshot capture (base or
     /// delta) so the next [`StreamAnalysis::checkpoint_delta`] diffs
     /// against exactly the state that capture preserved.
     pub fn mark_clean(&mut self) {
@@ -498,49 +458,50 @@ impl<'a> StreamAnalysis<'a> {
         self.marked_seq = self.events_ingested();
     }
 
-    /// Advance a restored engine by one delta: replace the dirtied
-    /// lanes, append the message tail, and overwrite the scalar state.
-    /// The engine must be exactly at the delta's parent state — the
-    /// sequence and message-base guards make a mismatched application a
-    /// typed error (surfaced by [`crate::recovery`] as a corrupt chain),
-    /// never a silently wrong restore.
-    pub fn apply_delta(&mut self, delta: StreamDelta) -> Result<(), String> {
-        if delta.parent_seq != self.events_ingested() {
+    /// Advance the engine by one snapshot: replace or extend the lanes it
+    /// carries, append the message tail, and overwrite the scalar state.
+    /// The engine must be exactly at the snapshot's parent state — the
+    /// empty engine for a base. The sequence and message-base guards
+    /// make a mismatched application a typed error (surfaced by
+    /// [`crate::recovery`] as a corrupt chain), never a silently wrong
+    /// restore.
+    pub fn apply(&mut self, snap: StreamSnapshot) -> Result<(), String> {
+        let parent_seq = snap.parent_seq.unwrap_or(0);
+        if parent_seq != self.events_ingested() {
             return Err(format!(
-                "delta parent seq {} does not match engine position {}",
-                delta.parent_seq,
+                "snapshot parent seq {parent_seq} does not match engine position {}",
                 self.events_ingested()
             ));
         }
-        if delta.messages_base_len != self.kernel.messages.len() as u64 {
+        if snap.messages_base_len != self.kernel.messages.len() as u64 {
             return Err(format!(
-                "delta message base {} does not match archive length {}",
-                delta.messages_base_len,
+                "snapshot message base {} does not match archive length {}",
+                snap.messages_base_len,
                 self.kernel.messages.len()
             ));
         }
-        self.watermark = delta.watermark;
-        self.kernel.messages.extend(delta.messages_tail);
-        self.kernel.resolve_stats = delta.resolve_stats;
-        self.kernel.is_stats = delta.is_stats;
-        self.kernel.ip_stats = delta.ip_stats;
-        self.events_syslog = delta.events_syslog;
-        self.events_isis = delta.events_isis;
-        self.batches = delta.batches;
-        self.late_events = delta.late_events;
-        self.kernel.open_items = delta.open_items;
-        self.kernel.open_items_hwm = delta.open_items_hwm;
-        self.quarantined_syslog = delta.quarantined_syslog;
-        self.quarantined_isis = delta.quarantined_isis;
-        for lane_delta in delta.lanes {
+        self.watermark = snap.watermark;
+        self.kernel.messages.extend(snap.messages_tail);
+        self.kernel.resolve_stats = snap.resolve_stats;
+        self.kernel.is_stats = snap.is_stats;
+        self.kernel.ip_stats = snap.ip_stats;
+        self.events_syslog = snap.events_syslog;
+        self.events_isis = snap.events_isis;
+        self.batches = snap.batches;
+        self.late_events = snap.late_events;
+        self.kernel.open_items = snap.open_items;
+        self.kernel.open_items_hwm = snap.open_items_hwm;
+        self.quarantined_syslog = snap.quarantined_syslog;
+        self.quarantined_isis = snap.quarantined_isis;
+        for lane_delta in snap.lanes {
             match lane_delta {
-                LaneDelta::Full(snap) => {
-                    self.kernel.lanes.insert(snap.link, LinkLane::restore(snap));
+                LaneDelta::Full(lane) => {
+                    self.kernel.lanes.insert(lane.link, LinkLane::restore(lane));
                 }
                 LaneDelta::Tail(tail) => {
                     let Some(lane) = self.kernel.lanes.get_mut(&tail.link) else {
                         return Err(format!(
-                            "delta tail for link {:?} which the parent state never had",
+                            "snapshot tail for link {:?} which the parent state never had",
                             tail.link
                         ));
                     };
@@ -548,39 +509,23 @@ impl<'a> StreamAnalysis<'a> {
                 }
             }
         }
+        // Applied lanes are clean: the next delta diffs against exactly
+        // this state.
         self.mark_clean();
         Ok(())
     }
 
-    /// Rebuild an engine from a checkpoint against the same scenario's
-    /// static side inputs (topology, offline spans, tickets). The
-    /// embedded configuration is re-validated exactly as
-    /// [`StreamAnalysis::try_new`] would. Wall-clock timers restart at
-    /// zero — they describe this process, not the one that died.
-    pub fn restore(data: &'a ScenarioData, ckpt: StreamCheckpoint) -> Result<Self, AnalysisError> {
-        analysis::validate_inputs(data, &ckpt.config)?;
-        let mut engine = StreamAnalysis::new(data, ckpt.config);
-        engine.watermark = ckpt.watermark;
-        engine.kernel.messages = ckpt.messages;
-        engine.kernel.resolve_stats = ckpt.resolve_stats;
-        engine.kernel.is_stats = ckpt.is_stats;
-        engine.kernel.ip_stats = ckpt.ip_stats;
-        engine.events_syslog = ckpt.events_syslog;
-        engine.events_isis = ckpt.events_isis;
-        engine.batches = ckpt.batches;
-        engine.late_events = ckpt.late_events;
-        engine.kernel.open_items = ckpt.open_items;
-        engine.kernel.open_items_hwm = ckpt.open_items_hwm;
-        engine.quarantined_syslog = ckpt.quarantined_syslog;
-        engine.quarantined_isis = ckpt.quarantined_isis;
-        engine.kernel.lanes = ckpt
-            .lanes
-            .into_iter()
-            .map(|s| (s.link, LinkLane::restore(s)))
-            .collect();
-        // Restored lanes are clean: the next delta diffs against exactly
-        // this state.
-        engine.mark_clean();
+    /// Rebuild an engine from a base against the same scenario's static
+    /// side inputs (topology, offline spans, tickets): validate the
+    /// embedded configuration exactly as [`StreamAnalysis::try_new`]
+    /// would, construct, then [`StreamAnalysis::apply`] the base.
+    /// Wall-clock timers restart at zero — they describe this process,
+    /// not the one that died.
+    pub fn restore(data: &'a ScenarioData, base: StreamSnapshot) -> Result<Self, AnalysisError> {
+        let mut engine = StreamAnalysis::try_new(data, base.config.clone())?;
+        engine
+            .apply(base)
+            .map_err(|what| AnalysisError::InvalidSnapshot { what })?;
         Ok(engine)
     }
 
@@ -600,7 +545,7 @@ impl<'a> StreamAnalysis<'a> {
         for link in links {
             if let Some(lane) = self.kernel.lanes.remove(link) {
                 self.kernel.open_items -= lane.open_items();
-                lanes.push(LaneDelta::Full(lane.snapshot()));
+                lanes.push(lane.snapshot());
             }
         }
         LaneMigration { lanes }
@@ -608,35 +553,22 @@ impl<'a> StreamAnalysis<'a> {
 
     /// Attach migrated lanes to this engine. Fails (typed, applying
     /// nothing further) if a lane arrives for a link this engine already
-    /// has state for — that would silently discard one side's history —
-    /// or if a lane arrives in the incremental `LaneDelta::Tail`
-    /// encoding, which only makes sense against a parent snapshot.
+    /// has state for — that would silently discard one side's history.
     /// Returns how many lanes were attached.
     pub fn import_lanes(&mut self, migration: LaneMigration) -> Result<u64, String> {
         let mut imported = 0u64;
-        for lane_delta in migration.lanes {
-            match lane_delta {
-                LaneDelta::Full(snap) => {
-                    if self.kernel.lanes.contains_key(&snap.link) {
-                        return Err(format!(
-                            "lane migration for link {:?} collides with existing lane state",
-                            snap.link
-                        ));
-                    }
-                    let link = snap.link;
-                    let lane = LinkLane::restore(snap);
-                    self.kernel.open_items += lane.open_items();
-                    self.kernel.lanes.insert(link, lane);
-                    imported += 1;
-                }
-                LaneDelta::Tail(tail) => {
-                    return Err(format!(
-                        "lane migration for link {:?} uses the incremental tail encoding; \
-                         migrations ship whole lanes",
-                        tail.link
-                    ));
-                }
+        for snap in migration.lanes {
+            if self.kernel.lanes.contains_key(&snap.link) {
+                return Err(format!(
+                    "lane migration for link {:?} collides with existing lane state",
+                    snap.link
+                ));
             }
+            let link = snap.link;
+            let lane = LinkLane::restore(snap);
+            self.kernel.open_items += lane.open_items();
+            self.kernel.lanes.insert(link, lane);
+            imported += 1;
         }
         self.kernel.open_items_hwm = self.kernel.open_items_hwm.max(self.kernel.open_items);
         Ok(imported)
@@ -876,8 +808,8 @@ mod tests {
     }
 
     // Lane export/import needs private access to enumerate the kernel's
-    // lanes and to forge a tail-encoded migration; the end-to-end
-    // resharding semantics live in `tests/cluster_reshard.rs`.
+    // lanes; the end-to-end resharding semantics live in
+    // `tests/cluster_reshard.rs`.
     #[test]
     fn lane_export_import_moves_open_state_and_rejects_bad_payloads() {
         let data = run(&ScenarioParams::tiny(5));
@@ -906,19 +838,5 @@ mod tests {
             engine.import_lanes(moved).unwrap_err().contains("collides"),
             "double import must be a typed error"
         );
-
-        // A tail-encoded lane (the incremental checkpoint shape) is not
-        // a valid migration payload.
-        engine.mark_clean();
-        for event in &events[events.len() / 2..] {
-            engine.ingest(event);
-        }
-        let delta = engine.checkpoint_delta();
-        if let Some(tail) = delta.lanes.iter().find(|l| matches!(l, LaneDelta::Tail(_))) {
-            let forged = LaneMigration {
-                lanes: vec![tail.clone()],
-            };
-            assert!(engine.import_lanes(forged).unwrap_err().contains("tail"));
-        }
     }
 }

@@ -66,7 +66,7 @@ use std::thread;
 pub const FRAME_MAGIC: [u8; 4] = *b"FLSM";
 
 /// The frame format version this build writes and reads.
-pub const WIRE_VERSION: u16 = 1;
+pub const WIRE_VERSION: u16 = 2;
 
 /// Sanity bound on a declared payload length. A header whose length
 /// field exceeds this is treated as corrupt rather than honored — the

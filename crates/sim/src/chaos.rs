@@ -765,7 +765,7 @@ pub enum ChainFault {
     /// The newest delta file is truncated mid-payload (a torn write
     /// that somehow survived the atomic rename — e.g. media damage).
     TornDelta,
-    /// The newest full base is deleted outright, orphaning every delta
+    /// The newest base is deleted outright, orphaning every delta
     /// chained to it.
     MissingBase,
     /// Two delta files have their contents swapped, so every header

@@ -20,7 +20,9 @@
 //! - chaos-injected transient checkpoint-write failures: retries absorb
 //!   them, an exhausted budget surfaces `RetriesExhausted`.
 
-use faultline_core::recovery::{DurabilityPolicy, DurableStream, RetryPolicy};
+use faultline_core::recovery::{
+    load_checkpoint, DurabilityPolicy, DurableStream, RetryPolicy, CHECKPOINT_VERSION,
+};
 use faultline_core::{
     scenario_event_stream, Analysis, AnalysisConfig, RecoveryError, StreamAnalysis, StreamEvent,
 };
@@ -243,11 +245,10 @@ fn corrupted_newest_checkpoint_falls_back_to_previous() {
         checkpoint_interval: 50,
         segment_max_records: 32,
         retain_checkpoints: 3,
-        // Full-only, synchronous snapshots: this test's contract is the
-        // single-file fallback (corrupt ONE base, reject ONE ladder
-        // entry). Chain behaviour has its own tests below.
-        full_every_n_checkpoints: 0,
-        offload_snapshots: false,
+        // Bases only: this test's contract is the single-file fallback
+        // (corrupt ONE base, reject ONE ladder entry). Chain behaviour
+        // has its own tests below.
+        max_chain_len: 0,
         ..DurabilityPolicy::default()
     };
     let kill_at = events.len().min(180);
@@ -283,6 +284,19 @@ fn corrupted_newest_checkpoint_falls_back_to_previous() {
     );
 }
 
+/// FNV-1a 64, the integrity hash of snapshot payloads, for forging a
+/// header whose hash is valid.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Two ways to tear the newest checkpoint: cut it mid-payload, or forge
+/// a header whose declared payload length ends inside a multi-byte
+/// character (with a valid hash over that non-UTF-8 prefix). Both are a
+/// typed rejection — never a panic — and recovery falls back cleanly,
+/// sweeping the stray temp file a crashed writer leaves.
 #[test]
 fn torn_checkpoint_and_stray_tmp_fall_back_cleanly() {
     let data = run(&ScenarioParams::tiny(6));
@@ -293,37 +307,64 @@ fn torn_checkpoint_and_stray_tmp_fall_back_cleanly() {
         checkpoint_interval: 40,
         segment_max_records: 32,
         retain_checkpoints: 3,
-        // Full-only, synchronous: see corrupted_newest_checkpoint above.
-        full_every_n_checkpoints: 0,
-        offload_snapshots: false,
+        // Bases only: see corrupted_newest_checkpoint above.
+        max_chain_len: 0,
         ..DurabilityPolicy::default()
     };
     let kill_at = events.len().min(150);
-    let tmp = TempDir::new("torn-newest");
-    run_to_kill(&tmp, &data, &config, policy, &events, kill_at);
+    for damage in ["cut", "mid-char"] {
+        let tmp = TempDir::new(&format!("torn-newest-{damage}"));
+        run_to_kill(&tmp, &data, &config, policy, &events, kill_at);
 
-    // Tear the newest checkpoint mid-payload and leave a half-written
-    // temp file behind, as a crash inside the checkpoint writer would.
-    let victim = newest_checkpoint(tmp.path());
-    let bytes = fs::read(&victim).unwrap();
-    fs::write(&victim, &bytes[..bytes.len() * 2 / 3]).unwrap();
-    fs::write(tmp.path().join("ckpt-999999999999.ckpt.tmp"), b"{\"half\":").unwrap();
+        let victim = newest_checkpoint(tmp.path());
+        if damage == "cut" {
+            // Tear the newest checkpoint mid-payload.
+            let bytes = fs::read(&victim).unwrap();
+            fs::write(&victim, &bytes[..bytes.len() * 2 / 3]).unwrap();
+        } else {
+            // `é` is two bytes; the header claims only the first.
+            let payload = "é".as_bytes();
+            let seq = header_json(&victim)["seq"].as_u64().unwrap();
+            let mut bytes = format!(
+                "{{\"magic\":\"faultline-checkpoint\",\"version\":{CHECKPOINT_VERSION},\
+                 \"seq\":{seq},\"parent_seq\":null,\"parent_fnv\":null,\
+                 \"payload_len\":1,\"payload_fnv\":\"{:016x}\"}}\n",
+                fnv1a64(&payload[..1])
+            )
+            .into_bytes();
+            bytes.extend_from_slice(payload);
+            bytes.push(b'\n');
+            fs::write(&victim, bytes).unwrap();
+        }
+        assert!(
+            load_checkpoint(&victim).is_err(),
+            "{damage}: the loader must reject the file, not panic"
+        );
+        // A half-written temp file, as a crash inside the writer leaves.
+        fs::write(tmp.path().join("ckpt-999999999999.ckpt.tmp"), b"{\"half\":").unwrap();
 
-    let (mut durable, report) = DurableStream::recover(tmp.path(), &data, config, policy).unwrap();
-    assert_eq!(report.checkpoints_rejected, 1, "{:?}", report.rejected);
-    assert!(report.checkpoint_seq.is_some());
-    assert_eq!(report.resumed_at_seq, kill_at as u64);
-    assert!(
-        !tmp.path().join("ckpt-999999999999.ckpt.tmp").exists(),
-        "stray temp files are swept during recovery"
-    );
-    for e in &events[kill_at..] {
-        durable.ingest(e).unwrap();
+        let (mut durable, report) =
+            DurableStream::recover(tmp.path(), &data, config.clone(), policy).unwrap();
+        assert_eq!(
+            report.checkpoints_rejected, 1,
+            "{damage}: {:?}",
+            report.rejected
+        );
+        assert!(report.checkpoint_seq.is_some());
+        assert_eq!(report.resumed_at_seq, kill_at as u64);
+        assert!(
+            !tmp.path().join("ckpt-999999999999.ckpt.tmp").exists(),
+            "stray temp files are swept during recovery"
+        );
+        for e in &events[kill_at..] {
+            durable.ingest(e).unwrap();
+        }
+        assert_eq!(
+            reference,
+            serde_json::to_string(&durable.finish().output).unwrap(),
+            "{damage}"
+        );
     }
-    assert_eq!(
-        reference,
-        serde_json::to_string(&durable.finish().output).unwrap()
-    );
 }
 
 #[test]
@@ -377,6 +418,57 @@ fn torn_journal_tail_recovers_good_prefix_and_resumes() {
         reference,
         serde_json::to_string(&durable2.finish().output).unwrap()
     );
+}
+
+/// Bit rot in the final journal record is a torn tail whichever bit it
+/// hits. A flip that breaks UTF-8 (bit 0x80 of an ASCII byte) is a
+/// damaged record like a flip that does not (bit 0x01), not an I/O
+/// error that aborts the whole recovery.
+#[test]
+fn bit_rot_in_the_final_journal_record_is_a_torn_tail() {
+    let data = run(&ScenarioParams::tiny(7));
+    let config = AnalysisConfig::default();
+    let events = scenario_event_stream(&data);
+    let reference = stream_json_over(&data, &config, &events);
+    let policy = DurabilityPolicy {
+        checkpoint_interval: 0, // journal is the only durable state
+        segment_max_records: 1_000_000,
+        ..DurabilityPolicy::default()
+    };
+    let kill_at = events.len().min(120);
+    for bit in [0x01u8, 0x80] {
+        let tmp = TempDir::new(&format!("journal-bit-{bit:02x}"));
+        run_to_kill(&tmp, &data, &config, policy, &events, kill_at);
+
+        // Flip one bit in the middle of the final record.
+        let seg = tmp.path().join("journal").join("seg-000000000001.jl");
+        let mut bytes = fs::read(&seg).unwrap();
+        let last_start = bytes[..bytes.len() - 1]
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .map_or(0, |i| i + 1);
+        let victim = (last_start + bytes.len()) / 2;
+        bytes[victim] ^= bit;
+        fs::write(&seg, &bytes).unwrap();
+
+        let (mut durable, report) =
+            DurableStream::recover(tmp.path(), &data, config.clone(), policy)
+                .unwrap_or_else(|e| panic!("bit {bit:#04x} must not abort recovery: {e}"));
+        assert_eq!(
+            report.resumed_at_seq,
+            kill_at as u64 - 1,
+            "bit {bit:#04x}: every record before the damaged one replays"
+        );
+        assert_eq!(report.journal_truncated_records, 1, "bit {bit:#04x}");
+        for e in &events[kill_at - 1..] {
+            durable.ingest(e).unwrap();
+        }
+        assert_eq!(
+            reference,
+            serde_json::to_string(&durable.finish().output).unwrap(),
+            "bit {bit:#04x}"
+        );
+    }
 }
 
 #[test]
@@ -479,17 +571,20 @@ fn chaos_injected_checkpoint_faults_are_retried_and_counted() {
 // Delta-chain durability (base + incremental snapshots)
 // ---------------------------------------------------------------------
 
-/// Snapshot files with the given extension, sorted ascending by name
-/// (and therefore by sequence — names embed zero-padded sequences).
-fn snapshot_files(dir: &Path, ext: &str) -> Vec<PathBuf> {
+/// Snapshot files (`ckpt-*.ckpt`) split into `(bases, deltas)` by the
+/// header's `parent_seq`, each sorted ascending by name (and therefore
+/// by sequence — names embed zero-padded sequences).
+fn snapshot_files(dir: &Path) -> (Vec<PathBuf>, Vec<PathBuf>) {
     let mut files: Vec<PathBuf> = fs::read_dir(dir)
         .unwrap()
         .flatten()
         .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|e| e == ext))
+        .filter(|p| p.extension().is_some_and(|e| e == "ckpt"))
         .collect();
     files.sort();
     files
+        .into_iter()
+        .partition(|p| header_json(p)["parent_seq"].is_null())
 }
 
 /// First line of a snapshot file, parsed as the JSON header.
@@ -512,16 +607,14 @@ fn rewrite_header(path: &Path, mutate: impl FnOnce(&mut serde_json::Value)) {
     .unwrap();
 }
 
-/// A policy that writes delta chains on the off-thread writer: fulls
-/// every 3rd snapshot, chains up to 4 deltas, 3 bases retained.
+/// A policy that writes delta chains: a base, then 2 deltas
+/// (F D D F …), 3 bases retained.
 fn chain_policy() -> DurabilityPolicy {
     DurabilityPolicy {
         checkpoint_interval: 15,
         segment_max_records: 32,
         retain_checkpoints: 3,
-        full_every_n_checkpoints: 3,
-        max_chain_len: 4,
-        offload_snapshots: true,
+        max_chain_len: 2,
         ..DurabilityPolicy::default()
     }
 }
@@ -544,7 +637,7 @@ fn delta_chain_kill_sweep_recovers_byte_identical() {
             let kill_at = kill_at as usize;
             let tmp = TempDir::new(&format!("delta-sweep-{seed}-{kill_at}"));
             run_to_kill(&tmp, &data, &config, policy, &events, kill_at);
-            deltas_seen |= !snapshot_files(tmp.path(), "dckpt").is_empty();
+            deltas_seen |= !snapshot_files(tmp.path()).1.is_empty();
 
             let (mut durable, report) =
                 DurableStream::recover(tmp.path(), &data, config.clone(), policy).unwrap();
@@ -601,13 +694,12 @@ fn chain_faults_degrade_to_intact_links_byte_identical() {
     let (data, config, reference, events) = chain_fixture(5);
     let policy = chain_policy();
     // Land between snapshot boundaries so the newest snapshot is the
-    // 12th (a delta under fulls-every-3rd: F D D F D D F D D F D D).
+    // 12th (a delta under a base then 2 deltas: F D D F D D F D D F D D).
     let kill_at = (policy.checkpoint_interval as usize * 12 + 5).min(events.len());
     for fault in ChainFault::ALL {
         let tmp = TempDir::new(&format!("chain-fault-{fault:?}"));
         run_to_kill(&tmp, &data, &config, policy, &events, kill_at);
-        let deltas = snapshot_files(tmp.path(), "dckpt");
-        let bases = snapshot_files(tmp.path(), "ckpt");
+        let (bases, deltas) = snapshot_files(tmp.path());
         assert!(deltas.len() >= 2, "{fault:?}: fixture needs two deltas");
         assert!(bases.len() >= 2, "{fault:?}: fixture needs two bases");
         assert!(
@@ -668,6 +760,56 @@ fn chain_faults_degrade_to_intact_links_byte_identical() {
     }
 }
 
+/// One file per sequence: when the kill point is exactly a cadence
+/// boundary and the snapshot written there is corrupt, recovery falls
+/// back to an older link, replays the journal, and compacts into a base
+/// at that same sequence — replacing the corrupt file. A second recovery
+/// restores that base directly: nothing rejected, nothing replayed.
+#[test]
+fn compaction_replaces_a_corrupt_snapshot_at_the_same_sequence() {
+    let (data, config, reference, events) = chain_fixture(5);
+    let policy = chain_policy();
+    // The 11th snapshot, a delta (F D D F D D F D D F D).
+    let kill_at = policy.checkpoint_interval as usize * 11;
+    assert!(kill_at <= events.len(), "fixture stream too short");
+    let tmp = TempDir::new("compaction-same-seq");
+    run_to_kill(&tmp, &data, &config, policy, &events, kill_at);
+    let victim = tmp.path().join(format!("ckpt-{kill_at:012}.ckpt"));
+    assert!(
+        !header_json(&victim)["parent_seq"].is_null(),
+        "the snapshot at the kill point is a delta"
+    );
+    let mut bytes = fs::read(&victim).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] = bytes[mid].wrapping_add(1);
+    fs::write(&victim, &bytes).unwrap();
+
+    let (durable, first) =
+        DurableStream::recover(tmp.path(), &data, config.clone(), policy).unwrap();
+    assert_eq!(first.checkpoints_rejected, 1, "{:?}", first.rejected);
+    assert!(first.checkpoint_seq.is_some_and(|seq| seq < kill_at as u64));
+    assert!(first.events_replayed > 0, "the fallback leaves a tail");
+    assert!(first.compacted, "the replayed tail is compacted");
+    assert!(
+        header_json(&victim)["parent_seq"].is_null(),
+        "the compacted base took the corrupt file's place"
+    );
+    drop(durable); // crash again before any new event
+
+    let (mut durable, second) = DurableStream::recover(tmp.path(), &data, config, policy).unwrap();
+    assert_eq!(second.checkpoint_seq, Some(kill_at as u64));
+    assert_eq!(second.checkpoints_rejected, 0, "{:?}", second.rejected);
+    assert_eq!(second.events_replayed, 0);
+    assert_eq!(second.chain_length, 0, "the compacted snapshot is a base");
+    for e in &events[kill_at..] {
+        durable.ingest(e).unwrap();
+    }
+    assert_eq!(
+        reference,
+        serde_json::to_string(&durable.finish().output).unwrap()
+    );
+}
+
 /// Forward compatibility: a delta stamped with a FUTURE format version
 /// sitting in an otherwise valid chain is skipped — recovery falls back
 /// to an older link or base and replays the journal — rather than
@@ -679,7 +821,7 @@ fn future_version_delta_is_skipped_not_fatal() {
     let kill_at = (policy.checkpoint_interval as usize * 12 + 5).min(events.len());
     let tmp = TempDir::new("future-delta");
     run_to_kill(&tmp, &data, &config, policy, &events, kill_at);
-    let deltas = snapshot_files(tmp.path(), "dckpt");
+    let (_, deltas) = snapshot_files(tmp.path());
     let victim = deltas.last().expect("fixture writes deltas");
     rewrite_header(victim, |h| h["version"] = serde_json::json!(99));
 
@@ -720,8 +862,7 @@ fn pruning_never_orphans_a_retained_delta() {
     let result = durable.finish();
     drop(result);
 
-    let deltas = snapshot_files(tmp.path(), "dckpt");
-    let bases = snapshot_files(tmp.path(), "ckpt");
+    let (bases, deltas) = snapshot_files(tmp.path());
     assert!(!deltas.is_empty(), "retention must keep chained deltas");
     assert!(
         deltas.len() + bases.len() > policy.retain_checkpoints,

@@ -187,6 +187,49 @@ fn header_field_damage_maps_to_its_own_error() {
     ));
 }
 
+/// A lane migration ships whole lanes by type: an intact frame whose
+/// `LaneMigrate` carries a lane in the tail encoding of an incremental
+/// snapshot is a typed decode error, not a migrated lane.
+#[test]
+fn tail_shaped_lane_migration_is_malformed() {
+    // A genuine tail-encoded lane, from a delta capture.
+    let data = run(&ScenarioParams::tiny(42));
+    let events = scenario_event_stream(&data);
+    let mut engine = StreamAnalysis::new(&data, AnalysisConfig::default());
+    engine.ingest_batch(&events[..events.len() / 2]);
+    engine.mark_clean();
+    engine.ingest_batch(&events[events.len() / 2..]);
+    let delta: serde_json::Value =
+        serde_json::from_str(&serde_json::to_string(&engine.checkpoint_delta()).unwrap()).unwrap();
+    let tail = delta["lanes"]
+        .as_array()
+        .unwrap()
+        .iter()
+        .find(|lane| !lane["Tail"].is_null())
+        .expect("a lane grew since the mark");
+
+    let frame = encode(&ShardMsg::LaneMigrate(LaneMigration::default()));
+    let header = faultline_core::transport::FRAME_HEADER_LEN;
+    let payload = String::from_utf8(frame[header..].to_vec()).unwrap();
+    let forged = payload.replacen(
+        "\"lanes\":[",
+        &format!("\"lanes\":[{}", serde_json::to_string(tail).unwrap()),
+        1,
+    );
+    assert_ne!(forged, payload, "the lane list is in the payload");
+    let fnv = forged.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    let mut framed = frame[..6].to_vec(); // magic + wire version
+    framed.extend_from_slice(&(forged.len() as u32).to_le_bytes());
+    framed.extend_from_slice(&fnv.to_le_bytes());
+    framed.extend_from_slice(forged.as_bytes());
+    assert!(matches!(
+        read_frame(&mut framed.as_slice()),
+        Err(FrameError::Malformed { .. })
+    ));
+}
+
 proptest! {
     /// Totality over garbage: arbitrary bytes — valid header or not —
     /// decode to a typed error or a message, never a panic.

@@ -12,14 +12,14 @@
 //!    the archive-level accounting must be identical.
 //!
 //! 2. **Id stability across checkpoint/restore.** Symbol ids are *not*
-//!    persisted in a [`StreamCheckpoint`] — they are rebuilt
+//!    persisted in a [`StreamSnapshot`] — they are rebuilt
 //!    deterministically from the scenario on restore. A checkpoint taken
 //!    immediately after a restore must therefore serialize byte-identical
 //!    to the checkpoint it was restored from, and a resumed run must
 //!    flush byte-identical output to one that never stopped.
 
 use faultline_core::linktable::from_scenario;
-use faultline_core::{scenario_event_stream, AnalysisConfig, StreamAnalysis, StreamCheckpoint};
+use faultline_core::{scenario_event_stream, AnalysisConfig, StreamAnalysis, StreamSnapshot};
 use faultline_sim::scenario::{run, ScenarioParams};
 use faultline_syslog::parse::{
     classify_line, parse_archive_stats, parse_archive_stats_bytes, parse_bytes, ParseOutcome,
@@ -96,7 +96,7 @@ fn interned_ids_survive_checkpoint_restore_byte_identically() {
         head.ingest_batch(&events[..cut]);
         let ckpt_json = serde_json::to_string(&head.checkpoint()).unwrap();
 
-        let revived: StreamCheckpoint = serde_json::from_str(&ckpt_json).unwrap();
+        let revived: StreamSnapshot = serde_json::from_str(&ckpt_json).unwrap();
         let mut resumed = StreamAnalysis::restore(&data, revived).expect("restore");
         let again = serde_json::to_string(&resumed.checkpoint()).unwrap();
         assert_eq!(

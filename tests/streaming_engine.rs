@@ -7,7 +7,7 @@
 
 use faultline_core::{
     scenario_event_stream, AmbiguityStrategy, Analysis, AnalysisConfig, AnalysisError,
-    IngestOutcome, IngestSummary, StreamAnalysis, StreamCheckpoint,
+    IngestOutcome, IngestSummary, StreamAnalysis, StreamSnapshot,
 };
 use faultline_sim::scenario::{run, ScenarioParams};
 use faultline_topology::time::Duration;
@@ -213,7 +213,7 @@ fn checkpoint_restore_at_any_cut_equals_uninterrupted() {
 
         // Round-trip through JSON: what recovery actually reloads.
         let bytes = serde_json::to_string(&ckpt).unwrap();
-        let reloaded: StreamCheckpoint = serde_json::from_str(&bytes).unwrap();
+        let reloaded: StreamSnapshot = serde_json::from_str(&bytes).unwrap();
         let mut second = StreamAnalysis::restore(&data, reloaded).expect("valid checkpoint");
         assert_eq!(second.events_ingested(), cut as u64);
         for e in &events[cut..] {
